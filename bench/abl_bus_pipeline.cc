@@ -54,8 +54,9 @@ main(int argc, char **argv)
                 std::vector<std::uint64_t> payload(words);
                 for (unsigned i = 0; i < words; ++i)
                     payload[i] = i & 0xFF;
+                std::vector<std::uint64_t> arrived;
                 Cycle piped = 0;
-                auto arrived = bus.transferAll(payload, piped);
+                bus.transferAllInto(payload, arrived, piped);
                 if (arrived.size() != payload.size())
                     throw std::runtime_error("bus lost data");
                 Cycle serial = unpipelinedCycles(words, seg_count);

@@ -132,10 +132,13 @@ BM_BusFunctionalTransfer(benchmark::State &state)
 {
     const unsigned words = unsigned(state.range(0));
     std::vector<std::uint64_t> payload(words, 0xA5);
+    std::vector<std::uint64_t> arrived;
     for (auto _ : state) {
         RmBus bus(64, 8);
         Cycle cycles = 0;
-        benchmark::DoNotOptimize(bus.transferAll(payload, cycles));
+        bus.transferAllInto(payload, arrived, cycles);
+        benchmark::DoNotOptimize(arrived.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * words);
 }

@@ -23,6 +23,16 @@ using namespace streampim;
 namespace
 {
 
+/** Drain the queue, appending the executed VPCs' records. */
+void
+drainAppending(StreamPimSystem &device,
+               std::vector<VpcExecutionRecord> &records)
+{
+    std::vector<VpcExecutionRecord> drained;
+    device.processQueueInto(drained);
+    records.insert(records.end(), drained.begin(), drained.end());
+}
+
 /**
  * Submit with backpressure: the VPC queue is bounded and submit()
  * returns false when it is full. Rather than asserting (real
@@ -34,11 +44,8 @@ void
 submitWithBackpressure(StreamPimSystem &device, const Vpc &vpc,
                        std::vector<VpcExecutionRecord> &records)
 {
-    while (!device.submit(vpc)) {
-        auto drained = device.processQueue();
-        records.insert(records.end(), drained.begin(),
-                       drained.end());
-    }
+    while (!device.submit(vpc))
+        drainAppending(device, records);
 }
 
 } // namespace
@@ -80,8 +87,7 @@ main()
         records);
     submitWithBackpressure(
         device, {VpcKind::Tran, addr_a, 0, 12288, n}, records);
-    auto tail = device.processQueue();
-    records.insert(records.end(), tail.begin(), tail.end());
+    drainAppending(device, records);
 
     std::printf("executed %zu VPCs, %llu responses\n",
                 records.size(),

@@ -7,7 +7,6 @@
 #include "common/rng.hh"
 #include "core/sharded_system.hh"
 #include "core/system_config.hh"
-#include "parallel/thread_pool.hh"
 
 namespace streampim
 {
@@ -215,8 +214,10 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         ok = faulty.submit(entry.vpc) && ok;
         SPIM_ASSERT(ok, "campaign program overflowed the VPC queue");
     }
-    golden.processQueue(cfg.engineJobs);
-    auto faulty_records = faulty.processQueue(cfg.engineJobs);
+    std::vector<VpcExecutionRecord> golden_records;
+    std::vector<VpcExecutionRecord> faulty_records;
+    golden.processQueueInto(golden_records, cfg.engineJobs);
+    faulty.processQueueInto(faulty_records, cfg.engineJobs);
 
     // Verification readout must not sample further faults.
     faulty.disableFaultInjection();
@@ -289,54 +290,6 @@ runShardedFaultCampaign(const ShardedCampaignConfig &cfg)
     return res;
 }
 
-ShardedEnduranceCampaignResult
-runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
-                            unsigned devices, unsigned deviceJobs)
-{
-    SPIM_ASSERT(devices >= 1 && devices <= 64,
-                "sharded campaign device count out of range");
-
-    // Each device's golden/faulty pair is a self-contained lifetime
-    // protocol (wear accrues inside the pair), so the fleet variant
-    // is D independent sample paths fanned across the device-level
-    // pool, each seeded with deviceSeed(base.seed, d).
-    const ThreadPool::JobSplit split = ShardedSystem::resolveSplit(
-        devices, deviceJobs, cfg.base.engineJobs);
-
-    ShardedEnduranceCampaignResult res;
-    res.perDevice.resize(devices);
-
-    auto runOne = [&](unsigned d) {
-        EnduranceCampaignConfig dev_cfg = cfg;
-        dev_cfg.base.seed =
-            ShardedSystem::deviceSeed(cfg.base.seed, d);
-        dev_cfg.base.engineJobs = split.inner;
-        res.perDevice[d] = runEnduranceCampaign(dev_cfg);
-    };
-
-    if (split.outer == 1) {
-        for (unsigned d = 0; d < devices; ++d)
-            runOne(d);
-    } else {
-        ThreadPool pool(split.outer);
-        for (unsigned d = 0; d < devices; ++d)
-            pool.submit([&runOne, d] { runOne(d); });
-        pool.wait();
-    }
-
-    for (const EnduranceCampaignResult &dev : res.perDevice) {
-        res.clean += dev.clean;
-        res.corrected += dev.corrected;
-        res.retried += dev.retried;
-        res.failed += dev.failed;
-        res.mismatchedRecovered += dev.mismatchedRecovered;
-        res.recovered += dev.recovered;
-        res.unrecoverable += dev.unrecoverable;
-        res.stats.merge(dev.stats);
-    }
-    return res;
-}
-
 EnduranceCampaignResult
 runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
 {
@@ -380,6 +333,9 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
     RecoveryManager recovery(cfg.recovery, faulty, &policy);
     BatchJournal journal;
     std::vector<VpcRecoveryOutcome> outcomes;
+    // Records vectors reused by every drain below.
+    std::vector<VpcExecutionRecord> golden_records;
+    std::vector<VpcExecutionRecord> faulty_records;
     /** Which region a Failed group's blame landed on (-1 unset). */
     std::vector<int> blamedRegion;
 
@@ -401,18 +357,16 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
             SPIM_ASSERT(ok,
                         "campaign program overflowed the VPC queue");
         }
-        golden.processQueue(base.engineJobs);
-        std::vector<VpcExecutionRecord> faulty_records;
-        if (cfg.recovery.enabled) {
-            // Transactional drain: pre-batch snapshots of every
-            // write region land in the journal (fault-free, RNG
-            // streams untouched) before the batch executes.
-            faulty.processQueueInto(faulty_records, base.engineJobs,
-                                    journal);
+        golden.processQueueInto(golden_records, base.engineJobs);
+        // With recovery on, a transactional drain: pre-batch
+        // snapshots of every write region land in the journal
+        // (fault-free, RNG streams untouched) before the batch
+        // executes.
+        faulty.processQueueInto(faulty_records, base.engineJobs,
+                                cfg.recovery.enabled ? &journal
+                                                     : nullptr);
+        if (cfg.recovery.enabled)
             recovery.noteBatch(journal);
-        } else {
-            faulty.processQueueInto(faulty_records, base.engineJobs);
-        }
         SPIM_ASSERT(faulty_records.size() == program.size(),
                     "campaign run lost VPCs");
 
@@ -635,16 +589,20 @@ runEnduranceCampaign(const EnduranceCampaignConfig &cfg)
                     SPIM_ASSERT(
                         ok, "migration overflowed the VPC queue");
                 }
-                golden.processQueue(base.engineJobs);
-                auto migr = faulty.processQueue(base.engineJobs);
-                SPIM_ASSERT(migr.size() ==
+                golden.processQueueInto(golden_records,
+                                        base.engineJobs);
+                faulty.processQueueInto(faulty_records,
+                                        base.engineJobs);
+                SPIM_ASSERT(faulty_records.size() ==
                                 decision.migrations.size(),
                             "migration run lost VPCs");
                 faulty.disableFaultInjection();
 
-                for (std::size_t k = 0; k < migr.size(); ++k) {
+                for (std::size_t k = 0; k < faulty_records.size();
+                     ++k) {
                     const MigrationStep &m = decision.migrations[k];
-                    const VpcFaultInfo &fault = migr[k].fault;
+                    const VpcFaultInfo &fault =
+                        faulty_records[k].fault;
                     deposits_seen += fault.depositPulses;
                     migration_deposits += fault.depositPulses;
                     rr.migrationDeposits += fault.depositPulses;

@@ -75,7 +75,7 @@ struct FaultCampaignConfig
 
     /**
      * Worker threads for the dependency-aware parallel VPC engine
-     * inside each processQueue() (0 = STREAMPIM_JOBS / hardware
+     * inside each processQueueInto() (0 = STREAMPIM_JOBS / hardware
      * concurrency, 1 = inline). Results are byte-identical at any
      * value — the knob only changes wall-clock.
      */
@@ -345,43 +345,6 @@ struct ShardedFaultCampaignResult
  */
 ShardedFaultCampaignResult
 runShardedFaultCampaign(const ShardedCampaignConfig &cfg);
-
-/** Aggregate outcome of one sharded endurance campaign. */
-struct ShardedEnduranceCampaignResult
-{
-    /** Full per-device campaign results, in device order. */
-    std::vector<EnduranceCampaignResult> perDevice;
-
-    // --- Fleet totals (sums over perDevice). ---
-    unsigned clean = 0;
-    unsigned corrected = 0;
-    unsigned retried = 0;
-    unsigned failed = 0;
-    unsigned mismatchedRecovered = 0;
-    unsigned recovered = 0;
-    unsigned unrecoverable = 0;
-    /** Sampled-fault statistics merged over the faulty fleet. */
-    FaultStats stats;
-
-    unsigned devices() const { return unsigned(perDevice.size()); }
-
-    bool invariantHolds() const { return mismatchedRecovered == 0; }
-};
-
-/**
- * Run @p cfg's endurance campaign once per device of a @p devices
- * fleet, fanned across the device-level pool (each device's golden/
- * faulty pair is a self-contained lifetime protocol, so the fleet
- * variant runs D independent sample paths). Device d's campaign
- * runs with seed ShardedSystem::deviceSeed(cfg.base.seed, d) —
- * perDevice[0] reproduces runEnduranceCampaign(cfg) bit-exact and
- * each device's path is invariant under fleet resizing. @p
- * deviceJobs as in ShardedCampaignConfig.
- */
-ShardedEnduranceCampaignResult
-runShardedEnduranceCampaign(const EnduranceCampaignConfig &cfg,
-                            unsigned devices,
-                            unsigned deviceJobs = 0);
 
 } // namespace streampim
 

@@ -418,27 +418,16 @@ StreamPimSystem::runParallel(
     pool_->wait();
 }
 
-std::vector<VpcExecutionRecord>
-StreamPimSystem::processQueue(unsigned jobs)
+std::uint8_t *
+StreamPimSystem::snapshotRange(BatchJournal &journal, Addr addr,
+                               std::uint64_t len)
 {
-    std::vector<VpcExecutionRecord> records;
-    processQueueInto(records, jobs);
-    return records;
-}
-
-void
-StreamPimSystem::processQueueInto(
-    std::vector<VpcExecutionRecord> &records, unsigned jobs)
-{
-    drainAndRun(records, jobs, nullptr);
-}
-
-void
-StreamPimSystem::processQueueInto(
-    std::vector<VpcExecutionRecord> &records, unsigned jobs,
-    BatchJournal &journal)
-{
-    drainAndRun(records, jobs, &journal);
+    snapshotScratch_.clear();
+    readInto(addr, len, snapshotScratch_);
+    std::uint8_t *bytes = journal.arena_.alloc(len).data();
+    std::copy(snapshotScratch_.begin(), snapshotScratch_.end(), bytes);
+    journal.snapshotBytes_ += len;
+    return bytes;
 }
 
 std::size_t
@@ -454,26 +443,10 @@ StreamPimSystem::journalVpc(BatchJournal &journal, const Vpc &vpc)
         disableFaultInjection();
 
     auto snap = [&](Addr addr, std::uint64_t len) {
-        if (len == 0)
-            return;
-        BatchJournal::Region r;
-        r.addr = addr;
-        r.len = std::uint32_t(len);
-        r.bytes = journal.arena_.alloc(len).data();
-        std::size_t done = 0;
-        while (done < len) {
-            AddrPlace p = place(addr + done);
-            const std::uint64_t room =
-                params_.bytesPerSubarray() - p.offset;
-            const std::uint64_t chunk =
-                std::min<std::uint64_t>(room, len - done);
-            auto bytes = subarrays_[p.globalSubarray]->hostRead(
-                p.offset, chunk);
-            std::copy(bytes.begin(), bytes.end(), r.bytes + done);
-            done += chunk;
-        }
-        journal.regions_.push_back(r);
-        journal.snapshotBytes_ += len;
+        if (len != 0)
+            journal.regions_.push_back(
+                {addr, std::uint32_t(len),
+                 snapshotRange(journal, addr, len)});
     };
 
     // Mirror executeOne()'s write set exactly: the destination
@@ -525,14 +498,9 @@ StreamPimSystem::journalExtra(BatchJournal &journal,
     const bool was_attached = faultsAttached_;
     if (was_attached)
         disableFaultInjection();
-    BatchJournal::Region r;
-    r.addr = addr;
-    r.len = std::uint32_t(len);
-    r.bytes = journal.arena_.alloc(len).data();
-    std::vector<std::uint8_t> bytes = read(addr, len);
-    std::copy(bytes.begin(), bytes.end(), r.bytes);
-    journal.extras_.emplace_back(std::uint32_t(group), r);
-    journal.snapshotBytes_ += len;
+    std::uint8_t *bytes = snapshotRange(journal, addr, len);
+    journal.extras_.push_back(
+        {std::uint32_t(group), {addr, std::uint32_t(len), bytes}});
     if (was_attached)
         resumeFaultInjection();
 }
@@ -591,8 +559,9 @@ StreamPimSystem::controllerCopy(Addr src, Addr dst,
 }
 
 void
-StreamPimSystem::drainAndRun(std::vector<VpcExecutionRecord> &records,
-                             unsigned jobs, BatchJournal *journal)
+StreamPimSystem::processQueueInto(
+    std::vector<VpcExecutionRecord> &records, unsigned jobs,
+    BatchJournal *journal)
 {
     std::vector<Vpc> &batch = batchScratch_;
     batch.clear();

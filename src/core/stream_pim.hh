@@ -15,7 +15,7 @@
  * integration tests use it with a scaled-down geometry; the
  * paper-scale timing experiments use Planner + Executor instead.
  *
- * processQueue() drains the queue through a dependency-aware
+ * processQueueInto() drains the queue through a dependency-aware
  * parallel engine (runtime/conflict_graph + parallel/ThreadPool):
  * VPCs whose subarray touch-sets are disjoint execute concurrently,
  * conflicting VPCs keep submit order, and the records come back in
@@ -110,8 +110,14 @@ class StreamPimSystem
     bool submit(const Vpc &vpc);
 
     /**
-     * Execute every queued VPC; returns one record per VPC, in
-     * exact submit order.
+     * Execute every queued VPC. @p records is resized to the batch
+     * and holds one record per VPC, in exact submit order; every
+     * field of a reused record is overwritten in place, so one
+     * records vector can serve any number of drains. Once warm, a
+     * serial (jobs == 1) drain of a same-shaped batch in the packed
+     * functional mode performs zero heap allocations
+     * (tests/allocfree pins this); the parallel engine still builds
+     * its per-batch conflict graph.
      *
      * @param jobs worker threads for the dependency-aware parallel
      *        engine. 0 resolves through ThreadPool::resolveJobs()
@@ -119,32 +125,19 @@ class StreamPimSystem
      *        inside a ThreadPool::SerialSection); 1 executes inline
      *        on the calling thread. Records, fault statistics and
      *        wear summaries are byte-identical at any job count.
-     */
-    std::vector<VpcExecutionRecord> processQueue(unsigned jobs = 0);
-
-    /**
-     * processQueue writing into @p records (resized to the batch).
-     * Reuses the records' command buffers and the system's batch/
-     * mask scratch: once warm, a serial (jobs == 1) drain of a
-     * same-shaped batch in the packed functional mode performs zero
-     * heap allocations (tests/allocfree pins this). The parallel
-     * engine still builds its per-batch conflict graph.
-     */
-    void processQueueInto(std::vector<VpcExecutionRecord> &records,
-                          unsigned jobs = 0);
-
-    /**
-     * Transactional drain (runtime/recovery.hh): like
-     * processQueueInto, but first journals the pre-batch bytes of
-     * every region the batch's VPCs will write into @p journal
-     * (cleared here), grouped per VPC in submit order. Snapshots go
-     * through the fault-free controller path — injection is
-     * detached and resumed around them, so the fault-injector RNG
-     * streams are untouched and records stay byte-identical with a
-     * journal-free drain at any job count.
+     * @param journal when non-null, a transactional drain
+     *        (runtime/recovery.hh): the pre-batch bytes of every
+     *        region the batch's VPCs will write are first journaled
+     *        into @p journal (cleared here), grouped per VPC in
+     *        submit order. Snapshots go through the fault-free
+     *        controller path — injection is detached and resumed
+     *        around them, so the fault-injector RNG streams are
+     *        untouched and records stay byte-identical with a
+     *        journal-free drain at any job count.
      */
     void processQueueInto(std::vector<VpcExecutionRecord> &records,
-                          unsigned jobs, BatchJournal &journal);
+                          unsigned jobs = 0,
+                          BatchJournal *journal = nullptr);
 
     /** Transactional-recovery primitives (runtime/recovery.hh). @{ */
 
@@ -178,7 +171,7 @@ class StreamPimSystem
      * Execute @p vpc immediately (queue-less, serial, on the
      * calling thread) under the system's current injection attach
      * state. The recovery ladder re-executes rolled-back VPCs with
-     * this; ordinary workloads use submit + processQueue.
+     * this; ordinary workloads use submit + processQueueInto.
      */
     VpcExecutionRecord executeSingle(const Vpc &vpc);
 
@@ -277,6 +270,15 @@ class StreamPimSystem
     void readInto(Addr addr, std::uint64_t count,
                   std::vector<std::uint8_t> &out);
 
+    /**
+     * Copy [@p addr, @p addr + @p len) into a fresh slot of
+     * @p journal's arena through readInto (injection must already
+     * be detached), count it in the journal's snapshot bytes and
+     * return the slot.
+     */
+    std::uint8_t *snapshotRange(BatchJournal &journal, Addr addr,
+                                std::uint64_t len);
+
     /** Execute one VPC in place, reusing @p rec's command buffer
      * and @p scratch's staging storage. */
     void executeOne(VpcExecutionRecord &rec, const Vpc &vpc,
@@ -285,10 +287,6 @@ class StreamPimSystem
     /** Execute one VPC inside its fault-attribution scope. */
     void executeScoped(VpcExecutionRecord &rec, const Vpc &vpc,
                        std::uint64_t mask, VpcScratch &scratch);
-
-    /** Shared drain path: journal (optional), execute, respond. */
-    void drainAndRun(std::vector<VpcExecutionRecord> &records,
-                     unsigned jobs, BatchJournal *journal);
 
     /** Dependency-aware parallel execution of a drained batch. */
     void runParallel(const std::vector<Vpc> &batch,
@@ -317,11 +315,12 @@ class StreamPimSystem
     std::unique_ptr<ThreadPool> pool_; //!< engine workers (lazy)
     unsigned poolJobs_ = 0;
 
-    /** processQueue scratch, retained across drains so steady-state
-     * batches of the same shape allocate nothing. @{ */
+    /** processQueueInto scratch, retained across drains so
+     * steady-state batches of the same shape allocate nothing. @{ */
     std::vector<Vpc> batchScratch_;
     std::vector<std::uint64_t> maskScratch_;
     VpcScratch serialScratch_; //!< the jobs == 1 worker's buffers
+    std::vector<std::uint8_t> snapshotScratch_; //!< journal reads
     /** @} */
 };
 

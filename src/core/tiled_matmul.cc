@@ -64,8 +64,9 @@ runRecoverableTasks(StreamPimSystem &device,
     std::uint64_t attempt = 0; // staging-buffer parity
 
     bool slice_failed = false;
+    std::vector<VpcExecutionRecord> records;
     auto drain = [&]() {
-        auto records = device.processQueue(config.jobs);
+        device.processQueueInto(records, config.jobs);
         if (!records.empty())
             st.rounds++;
         for (const auto &rec : records) {
@@ -473,8 +474,9 @@ runTiledMatmul(StreamPimSystem &device,
     // whenever submission backs up (and once at the end). Conflicting
     // VPCs keep submit order across rounds, so accumulator and
     // staging-buffer reuse is safe by construction.
+    std::vector<VpcExecutionRecord> records;
     auto drain = [&]() {
-        auto records = device.processQueue(config.jobs);
+        device.processQueueInto(records, config.jobs);
         if (!records.empty())
             st.rounds++;
         for (const auto &rec : records)

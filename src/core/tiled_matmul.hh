@@ -21,7 +21,7 @@
  * partial low bytes equals the full dot's low byte exactly.
  *
  * The VPC queue is finite; the runner flushes through
- * processQueue() whenever submission backs up, which naturally
+ * processQueueInto() whenever submission backs up, which naturally
  * yields the multi-round execution of an out-of-core stream. The
  * round structure is count-driven and deterministic, so outputs are
  * byte-identical at any job count.
@@ -57,7 +57,7 @@ struct TiledMatmulConfig
      */
     bool doubleBuffer = true;
 
-    /** Worker threads for processQueue (0 = resolve from env). */
+    /** Worker threads for processQueueInto (0 = resolve from env). */
     unsigned jobs = 0;
 
     /**
@@ -82,7 +82,7 @@ struct TiledMatmulStats
     std::uint64_t tileTasks = 0;
     std::uint64_t vpcs = 0;     //!< VPCs submitted (all kinds)
     std::uint64_t pimVpcs = 0;  //!< MUL + ADD subset
-    std::uint64_t rounds = 0;   //!< processQueue flushes
+    std::uint64_t rounds = 0;   //!< processQueueInto flushes
     /** Worst fault-recovery outcome over every VPC (Clean when
      * injection is off); anything short of Failed keeps the result
      * bit-exact. Under the recovery path a Failed that the ladder

@@ -97,38 +97,30 @@ class Mat
     void writeBytes(std::uint64_t offset,
                     std::span<const std::uint8_t> data);
 
-    /** Read bytes through the access ports (destructive of nothing,
-     * but requires conversion; slow path). */
-    std::vector<std::uint8_t> readBytes(std::uint64_t offset,
-                                        std::uint64_t count);
-
-    /** readBytes appending into @p out (allocation-free when @p out
-     * has capacity — the hot-path variant). */
+    /**
+     * Read @p count bytes at @p offset through the access ports
+     * (destructive of nothing, but requires conversion; slow path),
+     * appending them to @p out. Allocation-free when @p out already
+     * has the capacity.
+     */
     void readBytesInto(std::uint64_t offset, std::uint64_t count,
                        std::vector<std::uint8_t> &out);
 
     /**
-     * Non-destructive read (Sec. III-E): copy @p count bytes at
-     * @p offset onto the transfer tracks via the fan-out nanowires,
-     * returning the replica that would shift out to the RM bus. The
-     * save tracks keep their data; no port read/write happens.
+     * Non-destructive read (Sec. III-E): copy out.size() bytes at
+     * @p offset onto the transfer tracks via the fan-out nanowires
+     * and write the replica that would shift out to the RM bus into
+     * @p out. The save tracks keep their data; no port read/write
+     * happens.
      */
-    std::vector<std::uint8_t> copyOutViaTransferTracks(
-        std::uint64_t offset, std::uint64_t count);
-
-    /** copyOutViaTransferTracks writing the replica into @p out
-     * (out.size() bytes; arena-backed hot-path variant). */
     void copyOutViaTransferTracksInto(std::uint64_t offset,
                                       std::span<std::uint8_t> out);
 
     /**
-     * Destructive shift-out: move bytes from the save tracks toward
-     * the RM bus; the source domains are vacated (zeroed).
+     * Destructive shift-out: move out.size() bytes at @p offset from
+     * the save tracks toward the RM bus, writing them into @p out;
+     * the source domains are vacated (zeroed).
      */
-    std::vector<std::uint8_t> shiftOutDestructive(
-        std::uint64_t offset, std::uint64_t count);
-
-    /** shiftOutDestructive writing into @p out (out.size() bytes). */
     void shiftOutDestructiveInto(std::uint64_t offset,
                                  std::span<std::uint8_t> out);
 

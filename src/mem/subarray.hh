@@ -95,13 +95,11 @@ class FunctionalSubarray
     void hostWrite(std::uint64_t offset,
                    std::span<const std::uint8_t> data);
 
-    /** Regular (host) read through access ports. */
-    std::vector<std::uint8_t> hostRead(std::uint64_t offset,
-                                       std::uint64_t count);
-
     /**
-     * hostRead appending into @p out (allocation-free when @p out
-     * has capacity — the engine's per-worker scratch buffers).
+     * Regular (host) read of @p count bytes at @p offset through the
+     * access ports, appended to @p out. Allocation-free when @p out
+     * already has the capacity (the engine's per-worker scratch
+     * buffers).
      */
     void hostReadInto(std::uint64_t offset, std::uint64_t count,
                       std::vector<std::uint8_t> &out);
@@ -111,18 +109,13 @@ class FunctionalSubarray
      * offsets @p src1 and @p src2, writing results at @p dst.
      * Follows Fig. 13: non-destructive copy to transfer tracks,
      * shift onto the RM bus, pipeline compute, stream back.
-     */
-    SubarrayVpcResult executeVpc(VpcKind kind, std::uint64_t src1,
-                                 std::uint64_t src2,
-                                 std::uint64_t dst,
-                                 std::uint32_t size);
-
-    /**
-     * executeVpc writing into @p res, reusing its values storage.
-     * All staging buffers come from the subarray's bump arena and
-     * reused member vectors, so a warm subarray executes a VPC with
-     * zero heap allocations in the packed functional mode (the
-     * strict gate-netlist mode allocates BitVec scratch freely).
+     *
+     * Every field of @p res is overwritten; its values storage is
+     * reused. All staging buffers come from the subarray's bump
+     * arena and reused member vectors, so a warm subarray executes
+     * a VPC with zero heap allocations in the packed functional mode
+     * (the strict gate-netlist mode allocates BitVec scratch
+     * freely).
      */
     void executeVpcInto(VpcKind kind, std::uint64_t src1,
                         std::uint64_t src2, std::uint64_t dst,
@@ -139,7 +132,7 @@ class FunctionalSubarray
     /**
      * Attach a shift-fault injector to the whole datapath: every
      * mat, the segmented bus, and the processor's operand ingest
-     * draw sampled pulse outcomes from it, and executeVpc charges
+     * draw sampled pulse outcomes from it, and executeVpcInto charges
      * the recovery overhead (correction-shift energy + guard-sense
      * energy + extra bus cycles) and reports the per-VPC
      * FaultStatus in SubarrayVpcResult::fault. Pass nullptr to

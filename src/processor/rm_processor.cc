@@ -97,15 +97,6 @@ RmProcessor::ingestOperand(std::uint8_t value)
     return value;
 }
 
-ProcessorResult
-RmProcessor::dotProduct(std::span<const std::uint8_t> a,
-                        std::span<const std::uint8_t> b)
-{
-    ProcessorResult res;
-    dotProductInto(a, b, res);
-    return res;
-}
-
 void
 RmProcessor::dotProductInto(std::span<const std::uint8_t> a,
                             std::span<const std::uint8_t> b,
@@ -187,15 +178,6 @@ RmProcessor::dotProductInto(std::span<const std::uint8_t> a,
     res.overflow = circleAdder_.overflowed();
 }
 
-ProcessorResult
-RmProcessor::scalarVectorMul(std::uint8_t scalar,
-                             std::span<const std::uint8_t> v)
-{
-    ProcessorResult res;
-    scalarVectorMulInto(scalar, v, res);
-    return res;
-}
-
 void
 RmProcessor::scalarVectorMulInto(std::uint8_t scalar,
                                  std::span<const std::uint8_t> v,
@@ -243,15 +225,6 @@ RmProcessor::scalarVectorMulInto(std::uint8_t scalar,
     if (faults_)
         res.cycles +=
             Cycle(faults_->stats().correctionShifts - shifts_before);
-}
-
-ProcessorResult
-RmProcessor::vectorAdd(std::span<const std::uint8_t> a,
-                       std::span<const std::uint8_t> b)
-{
-    ProcessorResult res;
-    vectorAddInto(a, b, res);
-    return res;
 }
 
 void

@@ -26,7 +26,7 @@
  *  - a host-level read/write modeled as a task would carry the full
  *    mask of its address range — a mask of ~0 acts as a barrier.
  *    (StreamPimSystem needs no such node today: its host API is
- *    only legal between processQueue() calls, which are natural
+ *    only legal between processQueueInto() calls, which are natural
  *    barriers.)
  */
 

@@ -56,6 +56,7 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
         graph_.totalMacs() <= bitLimit_;
     EnergyMeter scratch_meter;
     RmProcessor proc(cfg_.rm, scratch_meter);
+    ProcessorResult res;
 
     switch (op.kind) {
       case MatOpKind::MatMul: {
@@ -70,9 +71,10 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
                 const std::uint8_t *row = pa + std::size_t(i) * K;
                 std::uint32_t acc;
                 if (bit_accurate) {
-                    auto res = proc.dotProduct(
+                    proc.dotProductInto(
                         std::span<const std::uint8_t>(row, K),
-                        std::span<const std::uint8_t>(col.data(), K));
+                        std::span<const std::uint8_t>(col.data(), K),
+                        res);
                     acc = res.values[0];
                 } else {
                     acc = 0;
@@ -99,9 +101,9 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
                            : pa[std::size_t(i) * da.cols + x];
             std::uint32_t acc;
             if (bit_accurate) {
-                auto res = proc.dotProduct(
+                proc.dotProductInto(
                     std::span<const std::uint8_t>(vec.data(), k),
-                    std::span<const std::uint8_t>(pb, k));
+                    std::span<const std::uint8_t>(pb, k), res);
                 acc = res.values[0];
             } else {
                 acc = 0;
@@ -116,9 +118,9 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
         const std::uint8_t *pb = operands_[op.b].data;
         const std::uint64_t n = da.elements();
         if (bit_accurate) {
-            auto res = proc.vectorAdd(
-                std::span<const std::uint8_t>(pa, n),
-                std::span<const std::uint8_t>(pb, n));
+            proc.vectorAddInto(std::span<const std::uint8_t>(pa, n),
+                               std::span<const std::uint8_t>(pb, n),
+                               res);
             for (std::uint64_t i = 0; i < n; ++i)
                 pc[i] = std::uint8_t(res.values[i]);
         } else {
@@ -130,8 +132,8 @@ PimTask::computeOp(const MatrixOp &op, std::uint8_t alpha)
       case MatOpKind::Scale: {
         const std::uint64_t n = da.elements();
         if (bit_accurate) {
-            auto res = proc.scalarVectorMul(
-                alpha, std::span<const std::uint8_t>(pa, n));
+            proc.scalarVectorMulInto(
+                alpha, std::span<const std::uint8_t>(pa, n), res);
             for (std::uint64_t i = 0; i < n; ++i)
                 pc[i] = std::uint8_t(res.values[i]);
         } else {

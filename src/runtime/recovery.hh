@@ -156,7 +156,7 @@ struct RecoveryStats
 /**
  * Pre-batch snapshot of every region a batch's VPCs write, grouped
  * per VPC in submit order. Filled by
- * StreamPimSystem::processQueueInto(records, jobs, journal) (or
+ * StreamPimSystem::processQueueInto(records, jobs, &journal) (or
  * journalVpc directly), restored by StreamPimSystem::rollbackGroup.
  * See the file comment for the arena lifetime rules.
  */

@@ -11,14 +11,6 @@ VpcDecoder::executingBank(const Vpc &vpc) const
     return map_.decode(vpc.src1).bank;
 }
 
-std::vector<BankCommand>
-VpcDecoder::decode(const Vpc &vpc) const
-{
-    std::vector<BankCommand> cmds;
-    decodeInto(vpc, cmds);
-    return cmds;
-}
-
 void
 VpcDecoder::decodeInto(const Vpc &vpc,
                        std::vector<BankCommand> &cmds) const

@@ -47,6 +47,8 @@ struct BankCommand
     Addr addr = 0;
     std::uint32_t bytes = 0;
     VpcKind op = VpcKind::Tran; //!< for ExecuteInBank
+
+    bool operator==(const BankCommand &) const = default;
 };
 
 /** Subarray-level micro-operations a bank command expands into. */
@@ -78,11 +80,9 @@ class VpcDecoder
     /**
      * Decode a VPC into bank commands. The executing bank is the
      * bank holding src1 (dot products run where the matrix rows
-     * live, Fig. 15).
+     * live, Fig. 15). @p cmds is cleared first and refilled, reusing
+     * its capacity.
      */
-    std::vector<BankCommand> decode(const Vpc &vpc) const;
-
-    /** decode filling @p cmds (cleared first; reuses capacity). */
     void decodeInto(const Vpc &vpc,
                     std::vector<BankCommand> &cmds) const;
 

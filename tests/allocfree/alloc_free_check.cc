@@ -181,7 +181,7 @@ checkProcessQueueSteadyState(const char *label)
 
     char what[96];
     std::snprintf(what, sizeof(what),
-                  "processQueue steady state (%s)", label);
+                  "processQueueInto steady state (%s)", label);
     CHECK_ZERO_ALLOCS(what, {
         for (int round = 0; round < 20; ++round) {
             submitBatch();

@@ -123,7 +123,8 @@ TEST(FaultCampaign, FaultInjectionChargesGuardSenseEnergy)
     v.dst = 4096;
     v.size = 48;
     ASSERT_TRUE(sys.submit(v));
-    auto recs = sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_NE(recs[0].fault.status, FaultStatus::Failed);
     EXPECT_GT(recs[0].fault.guardChecks, 0u);

@@ -144,9 +144,24 @@ struct RunResult
     std::uint64_t responses = 0;
 };
 
-/** Full run with shift faults AND endurance wear enabled. */
+/** Where runOnce's drains land. */
+enum class Records
+{
+    Fresh,  //!< a new records vector per drain
+    Reused, //!< one records vector across every drain
+};
+
+/**
+ * Full run with shift faults AND endurance wear enabled. Rounds
+ * alternate between the whole program and the program without its
+ * first VPC: a reused records vector shrinks and grows again across
+ * drains, and every slot it reuses held a different VPC (of another
+ * kind) in the previous drain, so a field executeOne forgets to
+ * overwrite shows up as a stale value.
+ */
 RunResult
-runOnce(unsigned jobs, unsigned rounds = 3)
+runOnce(unsigned jobs, Records records = Records::Fresh,
+        unsigned rounds = 3)
 {
     StreamPimSystem sys;
     const std::uint64_t per = sys.params().bytesPerSubarray();
@@ -170,10 +185,17 @@ runOnce(unsigned jobs, unsigned rounds = 3)
 
     const auto prog = buildProgram(per);
     RunResult out;
+    std::vector<VpcExecutionRecord> reused;
     for (unsigned r = 0; r < rounds; ++r) {
-        for (const Vpc &v : prog)
-            EXPECT_TRUE(sys.submit(v));
-        auto recs = sys.processQueue(jobs);
+        const std::size_t first = r % 2;
+        const std::size_t n = prog.size() - first;
+        for (std::size_t i = first; i < prog.size(); ++i)
+            EXPECT_TRUE(sys.submit(prog[i]));
+        std::vector<VpcExecutionRecord> fresh;
+        std::vector<VpcExecutionRecord> &recs =
+            records == Records::Reused ? reused : fresh;
+        sys.processQueueInto(recs, jobs);
+        EXPECT_EQ(recs.size(), n);
         out.records.insert(out.records.end(), recs.begin(),
                            recs.end());
     }
@@ -198,8 +220,7 @@ expectRunsEqual(const RunResult &a, const RunResult &b)
         EXPECT_EQ(ra.vpc.src1, rb.vpc.src1) << "vpc " << i;
         EXPECT_EQ(ra.vpc.src2, rb.vpc.src2) << "vpc " << i;
         EXPECT_EQ(ra.vpc.dst, rb.vpc.dst) << "vpc " << i;
-        EXPECT_EQ(ra.commands.size(), rb.commands.size())
-            << "vpc " << i;
+        EXPECT_EQ(ra.commands, rb.commands) << "vpc " << i;
         EXPECT_EQ(ra.busCycles, rb.busCycles) << "vpc " << i;
         EXPECT_EQ(ra.pipelineCycles, rb.pipelineCycles)
             << "vpc " << i;
@@ -224,6 +245,12 @@ TEST(ParallelEngine, ByteIdenticalAcrossJobCounts)
         const RunResult parallel = runOnce(jobs);
         expectRunsEqual(serial, parallel);
     }
+    // Draining into one reused records vector (every reused slot
+    // stale from a different VPC) matches fresh-vector drains.
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        const RunResult reused = runOnce(jobs, Records::Reused);
+        expectRunsEqual(serial, reused);
+    }
 }
 
 TEST(ParallelEngine, RecordsComeBackInSubmitOrder)
@@ -233,7 +260,8 @@ TEST(ParallelEngine, RecordsComeBackInSubmitOrder)
     const auto prog = buildProgram(per);
     for (const Vpc &v : prog)
         ASSERT_TRUE(sys.submit(v));
-    auto recs = sys.processQueue(8);
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs, 8);
     ASSERT_EQ(recs.size(), prog.size());
     for (std::size_t i = 0; i < prog.size(); ++i) {
         EXPECT_EQ(recs[i].vpc.kind, prog[i].kind) << "vpc " << i;
@@ -276,7 +304,8 @@ TEST(ParallelEngine, MatchesShadowSimulationAtEightJobs)
     }
     for (const Vpc &v : prog)
         ASSERT_TRUE(sys.submit(v));
-    sys.processQueue(8);
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs, 8);
     // Compare everything except the last 64 bytes of each subarray
     // (the staging scratch region remote store-outs pass through,
     // which the shadow does not model).
@@ -361,11 +390,11 @@ TEST(ParallelEngine, EnduranceTrajectoryIdenticalAcrossEngineJobs)
 
 TEST(ParallelEngine, SerialSectionForcesInlineExecution)
 {
-    // Inside a SerialSection, processQueue(0) must not spawn
-    // workers — and still produce the same bytes.
-    const RunResult reference = runOnce(1, 1);
+    // Inside a SerialSection, processQueueInto(records, 0) must not
+    // spawn workers — and still produce the same bytes.
+    const RunResult reference = runOnce(1, Records::Fresh, 1);
     ThreadPool::SerialSection serial;
-    const RunResult inline_run = runOnce(0, 1);
+    const RunResult inline_run = runOnce(0, Records::Fresh, 1);
     expectRunsEqual(reference, inline_run);
 }
 

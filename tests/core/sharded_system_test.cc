@@ -77,29 +77,6 @@ expectCampaignEq(const FaultCampaignResult &x,
     }
 }
 
-void
-expectEnduranceEq(const EnduranceCampaignResult &x,
-                  const EnduranceCampaignResult &y,
-                  const char *what)
-{
-    EXPECT_EQ(x.clean, y.clean) << what;
-    EXPECT_EQ(x.corrected, y.corrected) << what;
-    EXPECT_EQ(x.retried, y.retried) << what;
-    EXPECT_EQ(x.failed, y.failed) << what;
-    EXPECT_EQ(x.mismatchedRecovered, y.mismatchedRecovered) << what;
-    EXPECT_EQ(x.firstFailedVpc, y.firstFailedVpc) << what;
-    EXPECT_EQ(x.firstFailedRound, y.firstFailedRound) << what;
-    EXPECT_EQ(x.firstFailedDeposits, y.firstFailedDeposits) << what;
-    EXPECT_EQ(x.stats.depositPulses, y.stats.depositPulses) << what;
-    EXPECT_EQ(x.stats.writeFaultsInjected,
-              y.stats.writeFaultsInjected)
-        << what;
-    EXPECT_EQ(x.stats.redeposits, y.stats.redeposits) << what;
-    EXPECT_EQ(x.stats.trackRemaps, y.stats.trackRemaps) << what;
-    EXPECT_EQ(x.finalHomes, y.finalHomes) << what;
-    EXPECT_EQ(x.rounds(), y.rounds()) << what;
-}
-
 /** Shift+write fault knobs that actually fire on the campaign. */
 FaultCampaignConfig
 faultyBase()
@@ -377,34 +354,6 @@ TEST(ShardedSystem, CampaignIdenticalAcrossDrainSchedules)
     for (unsigned d = 0; d < 3; ++d)
         expectCampaignEq(serial.perDevice[d],
                          parallel.perDevice[d], "drain schedule");
-}
-
-TEST(ShardedSystem, EnduranceDeviceZeroIsTheUnshardedRun)
-{
-    EnduranceCampaignConfig cfg;
-    cfg.base.pStep = 0.0;
-    cfg.base.pWrite0 = 1e-4;
-    cfg.base.writeEndurance = 500.0;
-    cfg.base.weibullShape = 6.0;
-    cfg.rounds = 6;
-
-    const ShardedEnduranceCampaignResult fleet =
-        runShardedEnduranceCampaign(cfg, 2);
-    ASSERT_EQ(fleet.devices(), 2u);
-    EXPECT_TRUE(fleet.invariantHolds());
-
-    const EnduranceCampaignResult single =
-        runEnduranceCampaign(cfg);
-    expectEnduranceEq(fleet.perDevice[0], single, "device 0");
-    EXPECT_EQ(fleet.clean,
-              fleet.perDevice[0].clean + fleet.perDevice[1].clean);
-
-    // And the fan-out schedule does not matter either.
-    const ShardedEnduranceCampaignResult serial =
-        runShardedEnduranceCampaign(cfg, 2, 1);
-    for (unsigned d = 0; d < 2; ++d)
-        expectEnduranceEq(fleet.perDevice[d], serial.perDevice[d],
-                          "endurance fan-out");
 }
 
 } // namespace streampim

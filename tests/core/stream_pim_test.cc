@@ -49,7 +49,8 @@ TEST(StreamPimSystem, LocalDotProductVpc)
     sys.write(0, a);
     sys.write(256, b);
     sys.submit({VpcKind::Mul, 0, 256, 512, 3});
-    auto recs = sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_FALSE(recs[0].remoteOperands);
     auto out = sys.read(512, 4);
@@ -68,7 +69,8 @@ TEST(StreamPimSystem, CrossSubarrayOperandIsCollected)
     sys.write(0, a);      // subarray 0
     sys.write(per, b);    // subarray 1
     sys.submit({VpcKind::Mul, 0, per, 128, 4});
-    auto recs = sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_TRUE(recs[0].remoteOperands);
     // The decoder reported the operand-collection command.
@@ -89,7 +91,8 @@ TEST(StreamPimSystem, CrossSubarrayDestination)
     sys.write(0, a);
     sys.write(64, b);
     sys.submit({VpcKind::Add, 0, 64, 2 * per + 100, 2});
-    sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     auto out = sys.read(2 * per + 100, 2);
     EXPECT_EQ(out[0], 8u);
     EXPECT_EQ(out[1], 10u);
@@ -102,7 +105,8 @@ TEST(StreamPimSystem, TranVpcAcrossBanks)
     std::vector<std::uint8_t> v = {1, 2, 3, 4, 5, 6};
     sys.write(10, v);
     sys.submit({VpcKind::Tran, 10, 0, bank + 77, 6});
-    sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     EXPECT_EQ(sys.read(bank + 77, 6), v);
 }
 
@@ -114,7 +118,8 @@ TEST(StreamPimSystem, QueueRespondsPerVpc)
     sys.write(64, a);
     for (int i = 0; i < 5; ++i)
         sys.submit({VpcKind::Add, 0, 64, 128, 2});
-    auto recs = sys.processQueue();
+    std::vector<VpcExecutionRecord> recs;
+    sys.processQueueInto(recs);
     EXPECT_EQ(recs.size(), 5u);
     EXPECT_EQ(sys.responses(), 5u);
 }
@@ -141,6 +146,7 @@ TEST(StreamPimSystem, RandomProgramMatchesHostSimulation)
         v = std::uint8_t(rng.below(256));
     sys.write(0, shadow);
 
+    std::vector<VpcExecutionRecord> recs;
     for (int step = 0; step < 20; ++step) {
         std::uint32_t n = 1 + unsigned(rng.below(16));
         Addr s1 = rng.below(256);
@@ -162,7 +168,7 @@ TEST(StreamPimSystem, RandomProgramMatchesHostSimulation)
             for (std::uint32_t i = 0; i < n; ++i)
                 shadow[d + i] = shadow[s1 + i];
         }
-        sys.processQueue();
+        sys.processQueueInto(recs);
     }
     EXPECT_EQ(sys.read(0, shadow.size()), shadow);
 }

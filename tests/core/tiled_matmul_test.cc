@@ -62,6 +62,7 @@ untiledDeviceMatmul(const std::vector<std::uint8_t> &a,
 
     const Addr out_base = a_bytes + bt_bytes;
     std::uint64_t pending = 0;
+    std::vector<VpcExecutionRecord> recs;
     for (std::uint32_t r = 0; r < s.n; ++r)
         for (std::uint32_t j = 0; j < s.m; ++j) {
             const bool ok = sys.submit(
@@ -70,11 +71,11 @@ untiledDeviceMatmul(const std::vector<std::uint8_t> &a,
                  out_base + 4 * (Addr(r) * s.m + j), s.k});
             ASSERT_TRUE(ok);
             if (++pending == 512) {
-                sys.processQueue();
+                sys.processQueueInto(recs);
                 pending = 0;
             }
         }
-    sys.processQueue();
+    sys.processQueueInto(recs);
 
     out.assign(std::uint64_t(s.n) * s.m, 0);
     const auto raw = sys.read(out_base, 4 * out.size());

@@ -252,7 +252,8 @@ TEST(FastPathEquivalence, ProcessorDotProduct)
         RmParams params;
         EnergyMeter meter;
         RmProcessor proc(params, meter);
-        auto r = proc.dotProduct(a, b);
+        ProcessorResult r;
+        proc.dotProductInto(a, b, r);
         counters = proc.counters();
         energy = meter.totalPj();
         EXPECT_EQ(r.values.size(), 1u);

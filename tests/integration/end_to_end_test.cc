@@ -48,7 +48,8 @@ TEST(EndToEnd, FunctionalDeviceAndPimTaskAgreeOnMatVec)
     for (unsigned r = 0; r < rows; ++r)
         device.submit({VpcKind::Mul, Addr(r) * cols, 4096,
                        8192 + Addr(r) * 4, cols});
-    device.processQueue();
+    std::vector<VpcExecutionRecord> records;
+    device.processQueueInto(records);
 
     for (unsigned r = 0; r < rows; ++r) {
         auto bytes = device.read(8192 + Addr(r) * 4, 4);

@@ -107,7 +107,8 @@ TEST(PipelineTiming, BitAccurateProcessorAgreesWithPipeline)
         pipe.feed(a[i], b[i]);
     }
     pipe.drain();
-    auto r = proc.dotProduct(a, b);
+    ProcessorResult r;
+    proc.dotProductInto(a, b, r);
     EXPECT_EQ(pipe.accumulator(), r.values.at(0));
     EXPECT_EQ(pipe.lastRetireCycle(), r.cycles);
 }

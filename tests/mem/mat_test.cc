@@ -22,6 +22,15 @@ smallMat(bool transfer = true)
     return Mat(16, 128, 64, transfer);
 }
 
+/** Port read of @p count bytes at @p offset into a fresh vector. */
+std::vector<std::uint8_t>
+portRead(Mat &m, std::uint64_t offset, std::uint64_t count)
+{
+    std::vector<std::uint8_t> out;
+    m.readBytesInto(offset, count, out);
+    return out;
+}
+
 TEST(Mat, CapacityFromGeometry)
 {
     Mat m = smallMat();
@@ -35,7 +44,7 @@ TEST(Mat, WriteReadRoundTrip)
     Mat m = smallMat();
     std::vector<std::uint8_t> data = {1, 2, 3, 250, 0, 255};
     m.writeBytes(10, data);
-    auto out = m.readBytes(10, data.size());
+    auto out = portRead(m, 10, data.size());
     EXPECT_EQ(out, data);
 }
 
@@ -45,7 +54,7 @@ TEST(Mat, PortOperationsAreCounted)
     std::vector<std::uint8_t> data(5, 7);
     m.writeBytes(0, data);
     EXPECT_EQ(m.activity().portWrites, 5u);
-    m.readBytes(0, 5);
+    portRead(m, 0, 5);
     EXPECT_EQ(m.activity().portReads, 5u);
 }
 
@@ -55,10 +64,11 @@ TEST(Mat, NonDestructiveReadPreservesData)
     std::vector<std::uint8_t> data = {11, 22, 33, 44};
     m.writeBytes(64, data);
 
-    auto copy = m.copyOutViaTransferTracks(64, data.size());
+    std::vector<std::uint8_t> copy(data.size());
+    m.copyOutViaTransferTracksInto(64, copy);
     EXPECT_EQ(copy, data);
     // The save tracks still hold the data.
-    EXPECT_EQ(m.readBytes(64, data.size()), data);
+    EXPECT_EQ(portRead(m, 64, data.size()), data);
     // And the fan-out mechanism was exercised, not the ports.
     EXPECT_EQ(m.activity().fanOutCopies, 8u * data.size());
 }
@@ -68,9 +78,10 @@ TEST(Mat, DestructiveShiftOutVacatesDomains)
     Mat m = smallMat();
     std::vector<std::uint8_t> data = {0xAA, 0xBB};
     m.writeBytes(0, data);
-    auto out = m.shiftOutDestructive(0, 2);
+    std::vector<std::uint8_t> out(2);
+    m.shiftOutDestructiveInto(0, out);
     EXPECT_EQ(out, data);
-    auto after = m.readBytes(0, 2);
+    auto after = portRead(m, 0, 2);
     EXPECT_EQ(after, (std::vector<std::uint8_t>{0, 0}));
 }
 
@@ -81,7 +92,7 @@ TEST(Mat, ShiftInDepositsWithoutPortWrites)
     auto writes_before = m.activity().portWrites;
     m.shiftInFromBus(32, data);
     EXPECT_EQ(m.activity().portWrites, writes_before);
-    EXPECT_EQ(m.readBytes(32, 3), data);
+    EXPECT_EQ(portRead(m, 32, 3), data);
 }
 
 TEST(MatDeath, NonDestructiveReadNeedsTransferTracks)
@@ -89,14 +100,14 @@ TEST(MatDeath, NonDestructiveReadNeedsTransferTracks)
     Mat m = smallMat(false);
     std::vector<std::uint8_t> data = {1};
     m.writeBytes(0, data);
-    EXPECT_DEATH(m.copyOutViaTransferTracks(0, 1),
-                 "transfer");
+    std::vector<std::uint8_t> out(1);
+    EXPECT_DEATH(m.copyOutViaTransferTracksInto(0, out), "transfer");
 }
 
 TEST(MatDeath, OutOfRangeAccessPanics)
 {
     Mat m = smallMat();
-    EXPECT_DEATH(m.readBytes(m.capacityBytes() - 1, 2), "capacity");
+    EXPECT_DEATH(portRead(m, m.capacityBytes() - 1, 2), "capacity");
 }
 
 TEST(MatDeath, BadTrackCountPanics)
@@ -183,7 +194,7 @@ TEST(MatWearTest, WornTracksRemapAndPreserveOtherDomains)
     // consume RNG state for this check.
     m.setFaultInjector(nullptr);
     for (unsigned i = 0; i < 10; ++i)
-        EXPECT_EQ(m.readBytes(2 + 2 * i, 1)[0], sentinel[i]) << i;
+        EXPECT_EQ(portRead(m, 2 + 2 * i, 1)[0], sentinel[i]) << i;
 }
 
 TEST(MatWearTest, ExhaustedSparePoolFailsVisibly)
@@ -241,7 +252,7 @@ TEST(Mat, RandomRoundTrips)
         for (auto &v : data)
             v = std::uint8_t(rng.below(256));
         m.writeBytes(off, data);
-        EXPECT_EQ(m.readBytes(off, len), data);
+        EXPECT_EQ(portRead(m, off, len), data);
     }
 }
 

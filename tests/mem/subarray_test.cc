@@ -32,6 +32,16 @@ makeSubarray()
     return FunctionalSubarray(p, 4, 32, 128);
 }
 
+/** Host read of @p count bytes at @p offset into a fresh vector. */
+std::vector<std::uint8_t>
+readBack(FunctionalSubarray &s, std::uint64_t offset,
+         std::uint64_t count)
+{
+    std::vector<std::uint8_t> out;
+    s.hostReadInto(offset, count, out);
+    return out;
+}
+
 TEST(FunctionalSubarray, Capacity)
 {
     auto s = makeSubarray();
@@ -46,7 +56,7 @@ TEST(FunctionalSubarray, HostReadWriteAcrossMats)
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = std::uint8_t(i * 7);
     s.hostWrite(100, data);
-    EXPECT_EQ(s.hostRead(100, data.size()), data);
+    EXPECT_EQ(readBack(s, 100, data.size()), data);
 }
 
 TEST(FunctionalSubarray, DotProductVpc)
@@ -63,12 +73,13 @@ TEST(FunctionalSubarray, DotProductVpc)
     }
     s.hostWrite(0, a);
     s.hostWrite(256, b);
-    auto res = s.executeVpc(VpcKind::Mul, 0, 256, 1024, n);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Mul, 0, 256, 1024, n, res);
     EXPECT_EQ(res.values.at(0), expect);
     EXPECT_GT(res.busCycles, 0u);
     EXPECT_GT(res.pipelineCycles, 0u);
     // The 32-bit result landed in the destination mat.
-    auto out = s.hostRead(1024, 4);
+    auto out = readBack(s, 1024, 4);
     std::uint32_t stored = 0;
     for (int i = 0; i < 4; ++i)
         stored |= std::uint32_t(out[i]) << (8 * i);
@@ -82,11 +93,12 @@ TEST(FunctionalSubarray, DotProductDoesNotDestroyOperands)
     std::vector<std::uint8_t> b = {5, 6, 7, 8};
     s.hostWrite(0, a);
     s.hostWrite(64, b);
-    s.executeVpc(VpcKind::Mul, 0, 64, 128, 4);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Mul, 0, 64, 128, 4, res);
     // Non-destructive read through the transfer tracks: operands
     // survive (Sec. III-E).
-    EXPECT_EQ(s.hostRead(0, 4), a);
-    EXPECT_EQ(s.hostRead(64, 4), b);
+    EXPECT_EQ(readBack(s, 0, 4), a);
+    EXPECT_EQ(readBack(s, 64, 4), b);
 }
 
 TEST(FunctionalSubarray, VectorAddVpc)
@@ -96,8 +108,9 @@ TEST(FunctionalSubarray, VectorAddVpc)
     std::vector<std::uint8_t> b = {100, 1, 0, 255};
     s.hostWrite(0, a);
     s.hostWrite(64, b);
-    auto res = s.executeVpc(VpcKind::Add, 0, 64, 128, 4);
-    auto out = s.hostRead(128, 4);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Add, 0, 64, 128, 4, res);
+    auto out = readBack(s, 128, 4);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(out[i], std::uint8_t(a[i] + b[i])) << i;
     // The processor produces full 9-bit sums (no overflow inside
@@ -114,8 +127,9 @@ TEST(FunctionalSubarray, ScalarVectorMulVpc)
     std::vector<std::uint8_t> scalar = {3};
     s.hostWrite(0, v);
     s.hostWrite(64, scalar);
-    s.executeVpc(VpcKind::Smul, 0, 64, 128, 5);
-    auto out = s.hostRead(128, 5);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Smul, 0, 64, 128, 5, res);
+    auto out = readBack(s, 128, 5);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(out[i], std::uint8_t(3 * v[i]));
 }
@@ -125,8 +139,9 @@ TEST(FunctionalSubarray, TranVpcMovesData)
     auto s = makeSubarray();
     std::vector<std::uint8_t> v = {9, 9, 9, 1, 2};
     s.hostWrite(0, v);
-    s.executeVpc(VpcKind::Tran, 0, 0, 300, 5);
-    EXPECT_EQ(s.hostRead(300, 5), v);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Tran, 0, 0, 300, 5, res);
+    EXPECT_EQ(readBack(s, 300, 5), v);
 }
 
 TEST(FunctionalSubarray, EnergyAccumulates)
@@ -135,7 +150,8 @@ TEST(FunctionalSubarray, EnergyAccumulates)
     std::vector<std::uint8_t> a = {1, 2};
     s.hostWrite(0, a);
     s.hostWrite(64, a);
-    s.executeVpc(VpcKind::Mul, 0, 64, 128, 2);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Mul, 0, 64, 128, 2, res);
     EXPECT_GT(s.energy().count(EnergyOp::PimMul), 0u);
     EXPECT_GT(s.energy().count(EnergyOp::PimAdd), 0u);
     EXPECT_GT(s.energy().count(EnergyOp::BusShift), 0u);
@@ -159,7 +175,8 @@ TEST_P(SubarrayDotSweep, MatchesHost)
     }
     s.hostWrite(0, a);
     s.hostWrite(200, b);
-    auto res = s.executeVpc(VpcKind::Mul, 0, 200, 400, n);
+    SubarrayVpcResult res;
+    s.executeVpcInto(VpcKind::Mul, 0, 200, 400, n, res);
     EXPECT_EQ(res.values.at(0), expect);
 }
 

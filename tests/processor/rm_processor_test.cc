@@ -27,7 +27,8 @@ TEST(RmProcessor, DotProductMatchesHost)
     Fixture f;
     std::array<std::uint8_t, 5> a = {1, 2, 3, 4, 5};
     std::array<std::uint8_t, 5> b = {10, 20, 30, 40, 50};
-    auto r = f.proc.dotProduct(a, b);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
     EXPECT_EQ(r.values.at(0), 10u + 40 + 90 + 160 + 250);
     EXPECT_FALSE(r.overflow);
 }
@@ -36,7 +37,8 @@ TEST(RmProcessor, DotProductCyclesFollowClosedForm)
 {
     Fixture f;
     std::vector<std::uint8_t> a(37, 3), b(37, 7);
-    auto r = f.proc.dotProduct(a, b);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
     EXPECT_EQ(r.cycles, f.proc.timing().dotProductCycles(37));
 }
 
@@ -44,7 +46,8 @@ TEST(RmProcessor, DotProductEnergyPerElement)
 {
     Fixture f;
     std::vector<std::uint8_t> a(10, 1), b(10, 1);
-    f.proc.dotProduct(a, b);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
     EXPECT_EQ(f.meter.count(EnergyOp::PimMul), 10u);
     EXPECT_EQ(f.meter.count(EnergyOp::PimAdd), 10u);
     EXPECT_NEAR(f.meter.energyPj(EnergyOp::PimMul),
@@ -55,7 +58,8 @@ TEST(RmProcessor, ScalarVectorMulFullPrecision)
 {
     Fixture f;
     std::vector<std::uint8_t> v = {0, 1, 128, 255};
-    auto r = f.proc.scalarVectorMul(255, v);
+    ProcessorResult r;
+    f.proc.scalarVectorMulInto(255, v, r);
     EXPECT_EQ(r.values.at(0), 0u);
     EXPECT_EQ(r.values.at(1), 255u);
     EXPECT_EQ(r.values.at(2), 255u * 128);
@@ -67,7 +71,8 @@ TEST(RmProcessor, VectorAddProducesNineBitSums)
     Fixture f;
     std::vector<std::uint8_t> a = {255, 0, 128};
     std::vector<std::uint8_t> b = {255, 0, 128};
-    auto r = f.proc.vectorAdd(a, b);
+    ProcessorResult r;
+    f.proc.vectorAddInto(a, b, r);
     EXPECT_EQ(r.values.at(0), 510u);
     EXPECT_EQ(r.values.at(1), 0u);
     EXPECT_EQ(r.values.at(2), 256u);
@@ -77,10 +82,11 @@ TEST(RmProcessor, CountersAccumulateAcrossOperations)
 {
     Fixture f;
     std::vector<std::uint8_t> a(4, 2), b(4, 3);
-    f.proc.dotProduct(a, b);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
     auto gates_after_dot = f.proc.counters().gateOps;
     EXPECT_GT(gates_after_dot, 0u);
-    f.proc.vectorAdd(a, b);
+    f.proc.vectorAddInto(a, b, r);
     EXPECT_GT(f.proc.counters().gateOps, gates_after_dot);
 }
 
@@ -88,7 +94,8 @@ TEST(RmProcessor, LongDotProductAccumulates32Bits)
 {
     Fixture f;
     std::vector<std::uint8_t> a(3000, 255), b(3000, 255);
-    auto r = f.proc.dotProduct(a, b);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
     EXPECT_EQ(r.values.at(0), 3000u * 255 * 255);
     EXPECT_FALSE(r.overflow);
 }
@@ -97,8 +104,9 @@ TEST(RmProcessorDeath, MismatchedLengthsPanic)
 {
     Fixture f;
     std::vector<std::uint8_t> a(3), b(4);
-    EXPECT_DEATH(f.proc.dotProduct(a, b), "mismatch");
-    EXPECT_DEATH(f.proc.vectorAdd(a, b), "mismatch");
+    ProcessorResult r;
+    EXPECT_DEATH(f.proc.dotProductInto(a, b, r), "mismatch");
+    EXPECT_DEATH(f.proc.vectorAddInto(a, b, r), "mismatch");
 }
 
 /** Property: random dot products match host arithmetic. */
@@ -116,7 +124,9 @@ TEST_P(ProcessorDotSweep, MatchesHost)
         b[i] = std::uint8_t(rng.below(256));
         expect += std::uint32_t(a[i]) * b[i];
     }
-    EXPECT_EQ(f.proc.dotProduct(a, b).values.at(0), expect);
+    ProcessorResult r;
+    f.proc.dotProductInto(a, b, r);
+    EXPECT_EQ(r.values.at(0), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ProcessorDotSweep,

@@ -56,7 +56,7 @@ TEST(BatchJournal, RoundtripRestoresEveryPreBatchByte)
 
     std::vector<VpcExecutionRecord> records;
     BatchJournal journal;
-    sys.processQueueInto(records, 1, journal);
+    sys.processQueueInto(records, 1, &journal);
     ASSERT_EQ(journal.groups(), std::size(vpcs));
     ASSERT_GT(journal.snapshotBytes(), 0u);
     ASSERT_NE(sys.read(0, sys.capacityBytes()), init)
@@ -84,7 +84,7 @@ TEST(BatchJournal, SnapshotAndRollbackSampleNoFaults)
     ASSERT_TRUE(sys.submit({VpcKind::Tran, 128, 0, 2048, 128}));
     std::vector<VpcExecutionRecord> records;
     BatchJournal journal;
-    sys.processQueueInto(records, 1, journal);
+    sys.processQueueInto(records, 1, &journal);
 
     const FaultStats mid = sys.totalFaultStats();
     auto deposits = [&] {

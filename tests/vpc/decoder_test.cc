@@ -24,7 +24,8 @@ TEST(VpcDecoder, SingleSubarrayVpcIsOneCommand)
     Fixture f;
     // Everything inside subarray 0 of bank 0.
     Vpc vpc{VpcKind::Mul, 0, 4096, 8192, 100};
-    auto cmds = f.decoder.decode(vpc);
+    std::vector<BankCommand> cmds;
+    f.decoder.decodeInto(vpc, cmds);
     ASSERT_EQ(cmds.size(), 1u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ExecuteInBank);
     EXPECT_EQ(cmds[0].bank, 0u);
@@ -36,7 +37,8 @@ TEST(VpcDecoder, RemoteOperandAddsReadCommand)
     Fixture f;
     Vpc vpc{VpcKind::Add, 0, f.rm.bytesPerBank() /* bank 1 */, 64,
             32};
-    auto cmds = f.decoder.decode(vpc);
+    std::vector<BankCommand> cmds;
+    f.decoder.decodeInto(vpc, cmds);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ReadBlock);
     EXPECT_EQ(cmds[0].bank, 1u);
@@ -48,7 +50,8 @@ TEST(VpcDecoder, RemoteDestinationAddsWriteCommand)
 {
     Fixture f;
     Vpc vpc{VpcKind::Mul, 0, 64, 2 * f.rm.bytesPerBank(), 16};
-    auto cmds = f.decoder.decode(vpc);
+    std::vector<BankCommand> cmds;
+    f.decoder.decodeInto(vpc, cmds);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ExecuteInBank);
     EXPECT_EQ(cmds[1].kind, BankCommandKind::WriteBlock);
@@ -61,7 +64,8 @@ TEST(VpcDecoder, NonDotResultsAreFullVectors)
 {
     Fixture f;
     Vpc vpc{VpcKind::Add, 0, 64, 2 * f.rm.bytesPerBank(), 16};
-    auto cmds = f.decoder.decode(vpc);
+    std::vector<BankCommand> cmds;
+    f.decoder.decodeInto(vpc, cmds);
     EXPECT_EQ(cmds.back().bytes, 16u);
 }
 
@@ -69,7 +73,8 @@ TEST(VpcDecoder, TranIsReadPlusWrite)
 {
     Fixture f;
     Vpc vpc{VpcKind::Tran, 0, 0, f.rm.bytesPerBank(), 128};
-    auto cmds = f.decoder.decode(vpc);
+    std::vector<BankCommand> cmds;
+    f.decoder.decodeInto(vpc, cmds);
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(cmds[0].kind, BankCommandKind::ReadBlock);
     EXPECT_EQ(cmds[1].kind, BankCommandKind::WriteBlock);
@@ -126,7 +131,8 @@ TEST(VpcDecoderDeath, ZeroSizePanics)
 {
     Fixture f;
     Vpc vpc{VpcKind::Mul, 0, 0, 0, 0};
-    EXPECT_DEATH(f.decoder.decode(vpc), "zero-size");
+    std::vector<BankCommand> cmds;
+    EXPECT_DEATH(f.decoder.decodeInto(vpc, cmds), "zero-size");
 }
 
 } // namespace

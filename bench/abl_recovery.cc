@@ -77,7 +77,7 @@ struct LadderVariant
 /**
  * Timed journal overhead: execute a representative out-of-core
  * matmul schedule with a recovery-flagged snapshot stream mirroring
- * the task-granular journal of the recoverable tiled dataflow
+ * the per-slice journal the tiled matmul keeps with recovery enabled
  * (core/tiled_matmul.cc): per k-slice task one pre-image of the
  * C-tile accumulator, plus the collected C rows on each tile's
  * final slice. Staged operand tiles and partials are NOT journaled

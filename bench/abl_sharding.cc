@@ -27,8 +27,8 @@
  *
  * The bench fails (nonzero exit) when any output mismatches the
  * references, when the campaign's device-0 trajectory differs from
- * the unsharded runFaultCampaign, or when the recovery invariant
- * breaks on any device.
+ * the one-device fleet's (the unsharded campaign), or when the
+ * recovery invariant breaks on any device.
  */
 
 #include <cstdio>
@@ -215,10 +215,11 @@ campaignCell(unsigned col)
         throw std::runtime_error(
             "recovery invariant broke on a fleet device");
     // Fleet-size invariance: the master seed IS device 0's seed, so
-    // routing through the sharded path must not perturb the
-    // unsharded campaign's trajectory.
-    if (!sameCampaign(res.perDevice.at(0),
-                      runFaultCampaign(cfg.base)))
+    // growing the fleet must not perturb the one-device fleet's
+    // (the unsharded campaign's) trajectory.
+    if (!sameCampaign(
+            res.perDevice.at(0),
+            runShardedFaultCampaign({.base = cfg.base}).perDevice.at(0)))
         throw std::runtime_error(
             "device 0 diverged from the unsharded campaign");
 

@@ -107,7 +107,8 @@ main(int argc, char **argv)
                        std::uint64_t(pt.pStep * 1e7) ^
                        std::uint64_t(pt.coverage * 1e3);
             sweep.add(std::to_string(seg), pt.name, [cfg] {
-                auto res = runFaultCampaign(cfg);
+                auto res =
+                    runShardedFaultCampaign({.base = cfg}).perDevice[0];
                 SweepCellResult cell;
                 cell.value =
                     100.0 * double(res.failed) / double(res.vpcs());

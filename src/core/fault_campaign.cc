@@ -188,44 +188,6 @@ verifyCampaign(StreamPimSystem &golden, StreamPimSystem &faulty,
 
 } // namespace
 
-FaultCampaignResult
-runFaultCampaign(const FaultCampaignConfig &cfg)
-{
-    SPIM_ASSERT(cfg.vpcs >= 1 && cfg.vpcs <= 128,
-                "campaign program size out of range");
-    SPIM_ASSERT(cfg.vectorLen >= 1 && cfg.vectorLen <= 48,
-                "vector length must fit a destination slice");
-
-    RmParams params = campaignParams(cfg);
-
-    const std::uint64_t per_sub = params.bytesPerSubarray();
-    const CampaignHomes homes = {0, 1};
-    auto program = buildProgram(cfg, per_sub, homes);
-
-    StreamPimSystem golden(params);
-    StreamPimSystem faulty(params);
-    stageInputs(golden, per_sub, cfg.seed, homes);
-    stageInputs(faulty, per_sub, cfg.seed, homes);
-
-    faulty.enableFaultInjection(campaignFaultConfig(cfg));
-
-    for (const auto &entry : program) {
-        bool ok = golden.submit(entry.vpc);
-        ok = faulty.submit(entry.vpc) && ok;
-        SPIM_ASSERT(ok, "campaign program overflowed the VPC queue");
-    }
-    std::vector<VpcExecutionRecord> golden_records;
-    std::vector<VpcExecutionRecord> faulty_records;
-    golden.processQueueInto(golden_records, cfg.engineJobs);
-    faulty.processQueueInto(faulty_records, cfg.engineJobs);
-
-    // Verification readout must not sample further faults.
-    faulty.disableFaultInjection();
-
-    return verifyCampaign(golden, faulty, std::move(program),
-                          faulty_records);
-}
-
 ShardedFaultCampaignResult
 runShardedFaultCampaign(const ShardedCampaignConfig &cfg)
 {
@@ -244,9 +206,9 @@ runShardedFaultCampaign(const ShardedCampaignConfig &cfg)
 
     // Two fleets, drained through the two-level engine. The faulty
     // fleet's enableFaultInjection derives device d's injector seeds
-    // from deviceSeed(base.seed, d): device 0 IS runFaultCampaign's
-    // single device, and every device's sample path is a pure
-    // function of (base config, d) — never of the fleet size or the
+    // from deviceSeed(base.seed, d): device 0 keeps the master seed,
+    // and every device's sample path is a pure function of
+    // (base config, d) — never of the fleet size or the
     // (deviceJobs x engineJobs) schedule.
     ShardedSystem golden(params, cfg.devices);
     ShardedSystem faulty(params, cfg.devices);

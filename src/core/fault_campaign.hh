@@ -120,12 +120,6 @@ struct FaultCampaignResult
 };
 
 /**
- * Run one campaign cell (golden + faulty system, full program,
- * bit-exact comparison). Deterministic in @p cfg.
- */
-FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);
-
-/**
  * A lifetime (endurance) campaign: the FaultCampaignConfig program
  * repeated for several rounds on ONE persistent pair of systems, so
  * save-track wear accumulates across rounds and the Weibull hazard
@@ -307,9 +301,10 @@ struct ShardedCampaignConfig
     FaultCampaignConfig base;
     /**
      * Fleet size (>= 1). Device 0 keeps the master seed, so
-     * perDevice[0] reproduces runFaultCampaign(base) bit-exact; and
-     * because device d's seed depends only on (base.seed, d), its
-     * whole trajectory is invariant under fleet resizing.
+     * perDevice[0] is the same at every fleet size — the default
+     * fleet of one is the unsharded campaign cell; and because
+     * device d's seed depends only on (base.seed, d), its whole
+     * trajectory is invariant under fleet resizing.
      */
     unsigned devices = 1;
     /** Device-level fan-out of the drain (0 = derive the split). */
@@ -339,9 +334,12 @@ struct ShardedFaultCampaignResult
 };
 
 /**
- * Run one sharded campaign cell. Deterministic in @p cfg — results
- * are byte-identical at any (deviceJobs x engineJobs), and each
- * device's result is invariant under the fleet size.
+ * Run one campaign cell (golden + faulty fleet, full program,
+ * bit-exact comparison per device); the default single-device
+ * config is the plain unsharded cell, read from perDevice[0].
+ * Deterministic in @p cfg — results are byte-identical at any
+ * (deviceJobs x engineJobs), and each device's result is invariant
+ * under the fleet size.
  */
 ShardedFaultCampaignResult
 runShardedFaultCampaign(const ShardedCampaignConfig &cfg);

@@ -9,316 +9,6 @@
 namespace streampim
 {
 
-namespace
-{
-
-/** Shared device layout of one tiled-matmul run (element offsets are
- * sized for the run's starting tile shape, so any k-slice with
- * tk <= tileK fits the same regions — what lets a re-tile shrink the
- * k-edge mid-run without moving the accumulator). */
-struct TiledLayout
-{
-    std::uint64_t subBytes = 0;
-    unsigned computeSubs = 0;
-    std::uint64_t aOff = 0, bOff = 0, partialOff = 0, accOff = 0;
-    Addr aBase = 0, btBase = 0, cBase = 0, stageBase = 0;
-    std::uint64_t stageBytes = 0;
-};
-
-/**
- * Transactional, task-granular dataflow (config.recovery.enabled;
- * DESIGN.md §10). The only state a k-slice task carries forward is
- * its C-tile accumulator (plus the C rows on the collecting slice):
- * staging buffers, spread operand tiles and partial dots are all
- * re-staged from the backing store on every attempt. One journal
- * group per slice therefore makes the whole slice a transaction
- * that rolls back bit-exact, and the ladder runs at slice
- * granularity:
- *
- *   rung 1 — rollback + retry in place (retryBudget per episode);
- *   rungs 3/4 — quarantine the blamed compute subarray (it absorbs
- *       essentially every deposit of the slice), evacuate the
- *       in-flight accumulator onto the least-worn survivor, derate
- *       the k-edge for the shrunken pool, and re-run the slice
- *       there (replanBudget escalations per episode);
- *
- * after which the slice surfaces unrecoverable: rolled back to its
- * pre-slice bytes — stale, never corrupt. Deterministic at any job
- * count: drains are count-driven, quarantine/evacuation decisions
- * are pure functions of wear telemetry with a total order, and
- * journal/rollback/evacuation traffic runs injection-detached.
- */
-void
-runRecoverableTasks(StreamPimSystem &device,
-                    const TiledMatmulConfig &config,
-                    const MatmulTiling &t, const TiledLayout &lay,
-                    std::uint32_t k, std::uint32_t m,
-                    TiledMatmulStats &st)
-{
-    config.recovery.validate();
-    BatchJournal journal;
-    RecoveryStats &rs = st.recovery;
-    std::vector<bool> quarantined(lay.computeSubs, false);
-    unsigned lost_subs = 0;
-    std::uint32_t cur_tile_k = t.tileK;
-    std::uint64_t attempt = 0; // staging-buffer parity
-
-    bool slice_failed = false;
-    std::vector<VpcExecutionRecord> records;
-    auto drain = [&]() {
-        device.processQueueInto(records, config.jobs);
-        if (!records.empty())
-            st.rounds++;
-        for (const auto &rec : records) {
-            st.worstFault = std::max(st.worstFault, rec.fault.status);
-            if (rec.fault.status == FaultStatus::Failed)
-                slice_failed = true;
-        }
-    };
-    auto issue = [&](const Vpc &vpc) {
-        if (!device.submit(vpc)) {
-            drain();
-            const bool ok = device.submit(vpc);
-            SPIM_ASSERT(ok, "VPC rejected by a drained queue");
-        }
-        st.vpcs++;
-        if (isPimVpc(vpc.kind))
-            st.pimVpcs++;
-    };
-
-    // Least-worn live compute subarray other than @p avoid, or
-    // computeSubs when none survive — the same total order as
-    // RecoveryManager::pickTarget, so evacuation targets are
-    // deterministic.
-    auto pickHealthier = [&](unsigned avoid) {
-        const std::vector<SubarrayWear> wear = device.wearSummaries();
-        auto key = [&](unsigned s) {
-            const SubarrayWear &w = wear[s];
-            return std::make_tuple(w.exhaustedMats, w.sparesUsed,
-                                   w.maxTrackWear, w.deposits, s);
-        };
-        unsigned best = lay.computeSubs;
-        for (unsigned s = 0; s < lay.computeSubs; ++s) {
-            if (s == avoid || quarantined[s])
-                continue;
-            if (best == lay.computeSubs || key(s) < key(best))
-                best = s;
-        }
-        return best;
-    };
-
-    // One attempt at the [kpos, kpos + tk) slice of tile (i, j) on
-    // compute subarray @p sub; true when no VPC came back Failed.
-    auto runSlice = [&](unsigned sub, std::uint32_t i,
-                        std::uint32_t j, std::uint32_t kpos,
-                        std::uint32_t tk, bool collect) {
-        const Addr compute_base = Addr(sub) * lay.subBytes;
-        const std::uint32_t tr = t.rowsOf(i);
-        const std::uint32_t tc = t.colsOf(j);
-        const Addr buf =
-            lay.stageBase +
-            (config.doubleBuffer ? (attempt & 1) : 0) * lay.stageBytes;
-        attempt++;
-        slice_failed = false;
-        for (std::uint32_t r = 0; r < tr; ++r)
-            issue({VpcKind::Tran,
-                   lay.aBase +
-                       std::uint64_t(i * t.tileRows + r) * k + kpos,
-                   0, buf + std::uint64_t(r) * tk, tk});
-        for (std::uint32_t c = 0; c < tc; ++c)
-            issue({VpcKind::Tran,
-                   lay.btBase +
-                       std::uint64_t(j * t.tileCols + c) * k + kpos,
-                   0,
-                   buf + std::uint64_t(tr) * tk +
-                       std::uint64_t(c) * tk,
-                   tk});
-        issue({VpcKind::Tran, buf, 0, compute_base + lay.aOff,
-               tr * tk});
-        issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk, 0,
-               compute_base + lay.bOff, tc * tk});
-        for (std::uint32_t r = 0; r < tr; ++r)
-            for (std::uint32_t c = 0; c < tc; ++c)
-                issue({VpcKind::Mul,
-                       compute_base + lay.aOff +
-                           std::uint64_t(r) * tk,
-                       compute_base + lay.bOff +
-                           std::uint64_t(c) * tk,
-                       compute_base + lay.partialOff +
-                           4ull * (r * tc + c),
-                       tk});
-        for (std::uint32_t r = 0; r < tr; ++r)
-            for (std::uint32_t c = 0; c < tc; ++c) {
-                const Addr partial = compute_base + lay.partialOff +
-                                     4ull * (r * tc + c);
-                const Addr acc = compute_base + lay.accOff +
-                                 std::uint64_t(r) * tc + c;
-                if (kpos == 0)
-                    issue({VpcKind::Tran, partial, 0, acc, 1});
-                else
-                    issue({VpcKind::Add, acc, partial, acc, 1});
-            }
-        if (collect)
-            for (std::uint32_t r = 0; r < tr; ++r)
-                issue({VpcKind::Tran,
-                       compute_base + lay.accOff +
-                           std::uint64_t(r) * tc,
-                       0,
-                       lay.cBase +
-                           std::uint64_t(i * t.tileRows + r) * m +
-                           std::uint64_t(j) * t.tileCols,
-                       tc});
-        drain();
-        return !slice_failed;
-    };
-
-    for (std::uint32_t i = 0; i < t.iTiles; ++i) {
-        for (std::uint32_t j = 0; j < t.jTiles; ++j) {
-            std::vector<unsigned> live;
-            for (unsigned s = 0; s < lay.computeSubs; ++s)
-                if (!quarantined[s])
-                    live.push_back(s);
-            if (live.empty()) {
-                // The whole compute pool is quarantined: the tile
-                // never runs; its C bytes stay stale and the loss
-                // is surfaced honestly.
-                rs.failedVpcs++;
-                rs.unrecoverable++;
-                st.worstFault = FaultStatus::Failed;
-                continue;
-            }
-            unsigned sub =
-                live[(std::uint64_t(i) * t.jTiles + j) % live.size()];
-            const std::uint32_t tr = t.rowsOf(i);
-            const std::uint32_t tc = t.colsOf(j);
-            std::uint32_t kpos = 0;
-            unsigned escalations = 0;
-            bool episode = false;
-            bool episode_retiled = false;
-            bool episode_escalated = false;
-            bool tile_lost = false;
-            while (kpos < k) {
-                const std::uint32_t tk =
-                    std::min(cur_tile_k, k - kpos);
-                const bool collect = kpos + tk == k;
-                if (!episode)
-                    st.tileTasks++;
-
-                // Journal the slice transaction: the live
-                // accumulator (a synthetic self-TRAN's write set is
-                // exactly that region), plus the C rows the
-                // collecting slice overwrites.
-                const Addr acc_addr =
-                    Addr(sub) * lay.subBytes + lay.accOff;
-                journal.clear();
-                device.journalVpc(journal, {VpcKind::Tran, acc_addr,
-                                            0, acc_addr, tr * tc});
-                if (collect)
-                    for (std::uint32_t r = 0; r < tr; ++r)
-                        device.journalExtra(
-                            journal, 0,
-                            lay.cBase +
-                                std::uint64_t(i * t.tileRows + r) *
-                                    m +
-                                std::uint64_t(j) * t.tileCols,
-                            tc);
-                rs.batches++;
-                rs.snapshots += journal.regionCount();
-                rs.snapshotBytes += journal.snapshotBytes();
-
-                bool ok = runSlice(sub, i, j, kpos, tk, collect);
-                if (!ok) {
-                    if (!episode) {
-                        rs.failedVpcs++;
-                        episode = true;
-                    }
-                    rs.rollbacks++;
-                    rs.rollbackBytes +=
-                        device.rollbackGroup(journal, 0);
-                    // Rung 1: retry in place.
-                    for (unsigned r = 0;
-                         r < config.recovery.retryBudget && !ok;
-                         ++r) {
-                        rs.retries++;
-                        ok = runSlice(sub, i, j, kpos, tk, collect);
-                        if (!ok) {
-                            rs.rollbacks++;
-                            rs.rollbackBytes +=
-                                device.rollbackGroup(journal, 0);
-                        }
-                    }
-                }
-                if (ok) {
-                    if (episode) {
-                        rs.recovered++;
-                        if (episode_retiled)
-                            rs.recoveredByRetile++;
-                        else if (episode_escalated)
-                            rs.recoveredByReplan++;
-                        else
-                            rs.recoveredByRetry++;
-                        episode = false;
-                        episode_retiled = false;
-                        episode_escalated = false;
-                        escalations = 0;
-                    }
-                    kpos += tk;
-                    continue;
-                }
-
-                // Rungs 3/4: quarantine, evacuate, re-tile.
-                if (escalations >= config.recovery.replanBudget) {
-                    tile_lost = true;
-                    break;
-                }
-                quarantined[sub] = true;
-                lost_subs++;
-                rs.replans++;
-                const unsigned to = pickHealthier(sub);
-                if (to >= lay.computeSubs) {
-                    tile_lost = true;
-                    break;
-                }
-                // Each lost compute subarray quadruples the
-                // per-element derating footprint, halving the
-                // power-of-two k-edge: the survivors absorb the
-                // quarantined subarray's traffic, so smaller slices
-                // bound every later transaction's blast radius and
-                // retry cost.
-                const std::uint32_t derated =
-                    Tiler::tileEdgeForBudget(
-                        lay.subBytes,
-                        8u << std::min(2 * lost_subs, 20u));
-                if (derated < cur_tile_k) {
-                    cur_tile_k = derated;
-                    rs.retiles++;
-                    episode_retiled = true;
-                }
-                device.controllerCopy(
-                    acc_addr, Addr(to) * lay.subBytes + lay.accOff,
-                    tr * tc);
-                rs.rehomes++;
-                episode_escalated = true;
-                escalations++;
-                sub = to;
-                // Re-enter at the same kpos: the rolled-back
-                // accumulated k-tiles are preserved at the new home
-                // and the remaining range re-chunks at the
-                // (possibly smaller) current k-edge.
-            }
-            if (tile_lost) {
-                // Every failed attempt already rolled back, so the
-                // pre-slice bytes are in place — stale, never
-                // corrupt.
-                rs.unrecoverable++;
-            }
-        }
-    }
-    st.finalTileK = cur_tile_k;
-}
-
-} // namespace
-
 std::vector<std::uint8_t>
 hostMatmulReference(std::span<const std::uint8_t> a,
                     std::span<const std::uint8_t> b, std::uint32_t n,
@@ -448,39 +138,32 @@ runTiledMatmul(StreamPimSystem &device,
     }
 
     TiledMatmulStats st;
-
-    if (config.recovery.enabled) {
-        const TiledLayout lay{.subBytes = sub_bytes,
-                              .computeSubs = compute_subs,
-                              .aOff = a_off,
-                              .bOff = b_off,
-                              .partialOff = partial_off,
-                              .accOff = acc_off,
-                              .aBase = a_base,
-                              .btBase = bt_base,
-                              .cBase = c_base,
-                              .stageBase = stage_base,
-                              .stageBytes = stage_bytes};
-        runRecoverableTasks(device, config, t, lay, k, m, st);
-        std::vector<std::uint8_t> c = device.read(c_base, c_bytes);
-        if (stats != nullptr)
-            *stats = st;
-        return c;
-    }
-
-    st.tileTasks = t.tasks();
+    const bool transactional = config.recovery.enabled;
+    if (transactional)
+        config.recovery.validate();
+    RecoveryStats &rs = st.recovery;
+    BatchJournal journal;
+    std::vector<bool> quarantined(compute_subs, false);
+    unsigned lost_subs = 0;
+    std::uint32_t cur_tile_k = t.tileK;
+    std::uint64_t slices = 0; // staging-buffer parity
 
     // The queue is finite: flush through the parallel engine
-    // whenever submission backs up (and once at the end). Conflicting
-    // VPCs keep submit order across rounds, so accumulator and
+    // whenever submission backs up and once at the end (plus after
+    // every slice transaction when recovering). Conflicting VPCs
+    // keep submit order across rounds, so accumulator and
     // staging-buffer reuse is safe by construction.
+    bool slice_failed = false;
     std::vector<VpcExecutionRecord> records;
     auto drain = [&]() {
         device.processQueueInto(records, config.jobs);
         if (!records.empty())
             st.rounds++;
-        for (const auto &rec : records)
+        for (const auto &rec : records) {
             st.worstFault = std::max(st.worstFault, rec.fault.status);
+            if (rec.fault.status == FaultStatus::Failed)
+                slice_failed = true;
+        }
     };
     auto issue = [&](const Vpc &vpc) {
         if (!device.submit(vpc)) {
@@ -493,95 +176,280 @@ runTiledMatmul(StreamPimSystem &device,
             st.pimVpcs++;
     };
 
-    std::uint64_t task = 0;
+    // The VPCs of the [kpos, kpos + tk) slice of tile (i, j) on
+    // compute subarray @p sub.
+    auto emitSlice = [&](unsigned sub, std::uint32_t i,
+                         std::uint32_t j, std::uint32_t kpos,
+                         std::uint32_t tk, bool collect) {
+        const Addr compute_base = Addr(sub) * sub_bytes;
+        const std::uint32_t tr = t.rowsOf(i);
+        const std::uint32_t tc = t.colsOf(j);
+        const Addr buf =
+            stage_base +
+            (config.doubleBuffer ? (slices & 1) : 0) * stage_bytes;
+        slices++;
+
+        // Gather the tile slices into the staging buffer: A rows
+        // first, then B columns, densely packed.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            issue({VpcKind::Tran,
+                   a_base + std::uint64_t(i * t.tileRows + r) * k +
+                       kpos,
+                   0, buf + std::uint64_t(r) * tk, tk});
+        for (std::uint32_t c = 0; c < tc; ++c)
+            issue({VpcKind::Tran,
+                   bt_base + std::uint64_t(j * t.tileCols + c) * k +
+                       kpos,
+                   0,
+                   buf + std::uint64_t(tr) * tk +
+                       std::uint64_t(c) * tk,
+                   tk});
+
+        // Spread the packed tiles to the compute subarray.
+        issue({VpcKind::Tran, buf, 0, compute_base + a_off, tr * tk});
+        issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk, 0,
+               compute_base + b_off, tc * tk});
+
+        // Partial dot products over this k-slice.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            for (std::uint32_t c = 0; c < tc; ++c)
+                issue({VpcKind::Mul,
+                       compute_base + a_off + std::uint64_t(r) * tk,
+                       compute_base + b_off + std::uint64_t(c) * tk,
+                       compute_base + partial_off +
+                           4ull * (r * tc + c),
+                       tk});
+
+        // Output-stationary accumulation of the partial low bytes;
+        // the first slice initializes device-side.
+        for (std::uint32_t r = 0; r < tr; ++r)
+            for (std::uint32_t c = 0; c < tc; ++c) {
+                const Addr partial = compute_base + partial_off +
+                                     4ull * (r * tc + c);
+                const Addr acc =
+                    compute_base + acc_off + std::uint64_t(r) * tc + c;
+                if (kpos == 0)
+                    issue({VpcKind::Tran, partial, 0, acc, 1});
+                else
+                    issue({VpcKind::Add, acc, partial, acc, 1});
+            }
+
+        // Last slice: the C tile is final; collect it row by row to
+        // the backing store.
+        if (collect)
+            for (std::uint32_t r = 0; r < tr; ++r)
+                issue({VpcKind::Tran,
+                       compute_base + acc_off + std::uint64_t(r) * tc,
+                       0,
+                       c_base +
+                           std::uint64_t(i * t.tileRows + r) * m +
+                           std::uint64_t(j) * t.tileCols,
+                       tc});
+    };
+
+    // One transactional attempt at a slice; true when no VPC came
+    // back Failed.
+    auto attemptSlice = [&](unsigned sub, std::uint32_t i,
+                            std::uint32_t j, std::uint32_t kpos,
+                            std::uint32_t tk, bool collect) {
+        slice_failed = false;
+        emitSlice(sub, i, j, kpos, tk, collect);
+        drain();
+        return !slice_failed;
+    };
+
+    // Least-worn live compute subarray other than @p avoid, or
+    // compute_subs when none survive — the same total order as
+    // RecoveryManager::pickTarget, so evacuation targets are
+    // deterministic.
+    auto pickHealthier = [&](unsigned avoid) {
+        const std::vector<SubarrayWear> wear = device.wearSummaries();
+        auto key = [&](unsigned s) {
+            const SubarrayWear &w = wear[s];
+            return std::make_tuple(w.exhaustedMats, w.sparesUsed,
+                                   w.maxTrackWear, w.deposits, s);
+        };
+        unsigned best = compute_subs;
+        for (unsigned s = 0; s < compute_subs; ++s) {
+            if (s == avoid || quarantined[s])
+                continue;
+            if (best == compute_subs || key(s) < key(best))
+                best = s;
+        }
+        return best;
+    };
+
+    // One task per (i, j, k-slice). With recovery on (DESIGN.md
+    // §10) each slice is a transaction: the only state it carries
+    // forward is its C-tile accumulator (plus the C rows on the
+    // collecting slice) — staging buffers, spread operand tiles and
+    // partial dots are re-staged from the backing store on every
+    // attempt — so journaling that state before the slice and
+    // draining after it lets a Failed slice roll back bit-exact and
+    // climb the ladder at slice granularity:
+    //
+    //   rung 1 — rollback + retry in place (retryBudget per episode);
+    //   rungs 3/4 — quarantine the blamed compute subarray (it
+    //       absorbs essentially every deposit of the slice),
+    //       evacuate the in-flight accumulator onto the least-worn
+    //       survivor, derate the k-edge for the shrunken pool, and
+    //       re-run the slice there (replanBudget escalations per
+    //       episode);
+    //
+    // after which the slice surfaces unrecoverable: rolled back to
+    // its pre-slice bytes — stale, never corrupt. Deterministic at
+    // any job count: drains are count-driven, quarantine/evacuation
+    // decisions are pure functions of wear telemetry with a total
+    // order, and journal/rollback/evacuation traffic runs
+    // injection-detached.
     for (std::uint32_t i = 0; i < t.iTiles; ++i) {
         for (std::uint32_t j = 0; j < t.jTiles; ++j) {
-            const unsigned sub =
-                (std::uint64_t(i) * t.jTiles + j) % compute_subs;
-            const Addr compute_base = Addr(sub) * sub_bytes;
+            if (lost_subs == compute_subs) {
+                // The whole compute pool is quarantined: the tile
+                // never runs; its C bytes stay stale and the loss
+                // is surfaced honestly.
+                rs.failedVpcs++;
+                rs.unrecoverable++;
+                st.worstFault = FaultStatus::Failed;
+                continue;
+            }
+            // Round-robin over the live (unquarantined) compute
+            // subarrays.
+            std::uint64_t nth = (std::uint64_t(i) * t.jTiles + j) %
+                                (compute_subs - lost_subs);
+            unsigned sub = 0;
+            while (quarantined[sub] || nth-- > 0)
+                ++sub;
             const std::uint32_t tr = t.rowsOf(i);
             const std::uint32_t tc = t.colsOf(j);
-            for (std::uint32_t kk = 0; kk < t.kTiles;
-                 ++kk, ++task) {
-                const std::uint32_t tk = t.kOf(kk);
-                const Addr buf =
-                    stage_base +
-                    (config.doubleBuffer ? (task & 1) : 0) *
-                        stage_bytes;
+            std::uint32_t kpos = 0;
+            unsigned escalations = 0;
+            bool episode = false;
+            bool episode_retiled = false;
+            bool episode_escalated = false;
+            bool tile_lost = false;
+            while (kpos < k) {
+                const std::uint32_t tk =
+                    std::min(cur_tile_k, k - kpos);
+                const bool collect = kpos + tk == k;
+                if (!episode)
+                    st.tileTasks++;
+                if (!transactional) {
+                    emitSlice(sub, i, j, kpos, tk, collect);
+                    kpos += tk;
+                    continue;
+                }
 
-                // Gather the tile slices into the staging buffer:
-                // A rows first, then B columns, densely packed.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    issue({VpcKind::Tran,
-                           a_base +
-                               std::uint64_t(i * t.tileRows + r) *
-                                   k +
-                               std::uint64_t(kk) * t.tileK,
-                           0, buf + std::uint64_t(r) * tk, tk});
-                for (std::uint32_t c = 0; c < tc; ++c)
-                    issue({VpcKind::Tran,
-                           bt_base +
-                               std::uint64_t(j * t.tileCols + c) *
-                                   k +
-                               std::uint64_t(kk) * t.tileK,
-                           0,
-                           buf + std::uint64_t(tr) * tk +
-                               std::uint64_t(c) * tk,
-                           tk});
-
-                // Spread the packed tiles to the compute subarray.
-                issue({VpcKind::Tran, buf, 0, compute_base + a_off,
-                       tr * tk});
-                issue({VpcKind::Tran, buf + std::uint64_t(tr) * tk,
-                       0, compute_base + b_off, tc * tk});
-
-                // Partial dot products over this k-slice.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    for (std::uint32_t c = 0; c < tc; ++c)
-                        issue({VpcKind::Mul,
-                               compute_base + a_off +
-                                   std::uint64_t(r) * tk,
-                               compute_base + b_off +
-                                   std::uint64_t(c) * tk,
-                               compute_base + partial_off +
-                                   4ull * (r * tc + c),
-                               tk});
-
-                // Output-stationary accumulation of the partial low
-                // bytes; the first k-tile initializes device-side.
-                for (std::uint32_t r = 0; r < tr; ++r)
-                    for (std::uint32_t c = 0; c < tc; ++c) {
-                        const Addr partial =
-                            compute_base + partial_off +
-                            4ull * (r * tc + c);
-                        const Addr acc = compute_base + acc_off +
-                                         std::uint64_t(r) * tc + c;
-                        if (kk == 0)
-                            issue({VpcKind::Tran, partial, 0, acc,
-                                   1});
-                        else
-                            issue({VpcKind::Add, acc, partial, acc,
-                                   1});
-                    }
-
-                // Last k-tile: the C tile is final; collect it row
-                // by row to the backing store.
-                if (kk + 1 == t.kTiles)
+                // Journal the slice transaction: the live
+                // accumulator (a synthetic self-TRAN's write set is
+                // exactly that region), plus the C rows the
+                // collecting slice overwrites.
+                const Addr acc_addr = Addr(sub) * sub_bytes + acc_off;
+                journal.clear();
+                device.journalVpc(journal, {VpcKind::Tran, acc_addr,
+                                            0, acc_addr, tr * tc});
+                if (collect)
                     for (std::uint32_t r = 0; r < tr; ++r)
-                        issue({VpcKind::Tran,
-                               compute_base + acc_off +
-                                   std::uint64_t(r) * tc,
-                               0,
-                               c_base +
-                                   std::uint64_t(i * t.tileRows +
-                                                 r) *
-                                       m +
-                                   std::uint64_t(j) * t.tileCols,
-                               tc});
+                        device.journalExtra(
+                            journal, 0,
+                            c_base +
+                                std::uint64_t(i * t.tileRows + r) *
+                                    m +
+                                std::uint64_t(j) * t.tileCols,
+                            tc);
+                rs.batches++;
+                rs.snapshots += journal.regionCount();
+                rs.snapshotBytes += journal.snapshotBytes();
+
+                bool ok = attemptSlice(sub, i, j, kpos, tk, collect);
+                if (!ok) {
+                    if (!episode) {
+                        rs.failedVpcs++;
+                        episode = true;
+                    }
+                    rs.rollbacks++;
+                    rs.rollbackBytes +=
+                        device.rollbackGroup(journal, 0);
+                    // Rung 1: retry in place.
+                    for (unsigned r = 0;
+                         r < config.recovery.retryBudget && !ok;
+                         ++r) {
+                        rs.retries++;
+                        ok = attemptSlice(sub, i, j, kpos, tk,
+                                          collect);
+                        if (!ok) {
+                            rs.rollbacks++;
+                            rs.rollbackBytes +=
+                                device.rollbackGroup(journal, 0);
+                        }
+                    }
+                }
+                if (ok) {
+                    if (episode) {
+                        rs.recovered++;
+                        if (episode_retiled)
+                            rs.recoveredByRetile++;
+                        else if (episode_escalated)
+                            rs.recoveredByReplan++;
+                        else
+                            rs.recoveredByRetry++;
+                        episode = false;
+                        episode_retiled = false;
+                        episode_escalated = false;
+                        escalations = 0;
+                    }
+                    kpos += tk;
+                    continue;
+                }
+
+                // Rungs 3/4: quarantine, evacuate, re-tile.
+                if (escalations >= config.recovery.replanBudget) {
+                    tile_lost = true;
+                    break;
+                }
+                quarantined[sub] = true;
+                lost_subs++;
+                rs.replans++;
+                const unsigned to = pickHealthier(sub);
+                if (to >= compute_subs) {
+                    tile_lost = true;
+                    break;
+                }
+                // Each lost compute subarray quadruples the
+                // per-element derating footprint, halving the
+                // power-of-two k-edge: the survivors absorb the
+                // quarantined subarray's traffic, so smaller slices
+                // bound every later transaction's blast radius and
+                // retry cost.
+                const std::uint32_t derated = Tiler::tileEdgeForBudget(
+                    sub_bytes, 8u << std::min(2 * lost_subs, 20u));
+                if (derated < cur_tile_k) {
+                    cur_tile_k = derated;
+                    rs.retiles++;
+                    episode_retiled = true;
+                }
+                device.controllerCopy(
+                    acc_addr, Addr(to) * sub_bytes + acc_off, tr * tc);
+                rs.rehomes++;
+                episode_escalated = true;
+                escalations++;
+                sub = to;
+                // Re-enter at the same kpos: the rolled-back
+                // accumulated k-tiles are preserved at the new home
+                // and the remaining range re-chunks at the
+                // (possibly smaller) current k-edge.
+            }
+            if (tile_lost) {
+                // Every failed attempt already rolled back, so the
+                // pre-slice bytes are in place — stale, never
+                // corrupt.
+                rs.unrecoverable++;
             }
         }
     }
     drain();
+    if (transactional)
+        st.finalTileK = cur_tile_k;
 
     std::vector<std::uint8_t> c = device.read(c_base, c_bytes);
     if (stats != nullptr)

@@ -61,17 +61,18 @@ struct TiledMatmulConfig
     unsigned jobs = 0;
 
     /**
-     * Transactional recovery ladder (DESIGN.md §10). When enabled the
-     * runner switches to a task-granular transactional dataflow: each
-     * k-slice task journals the only state it carries forward (the
-     * C-tile accumulator, plus the C rows on the collecting slice),
-     * drains per task, and on a Failed record rolls the accumulator
-     * back bit-exact and climbs the ladder — retry in place
-     * (retryBudget), then quarantine the blamed compute subarray,
-     * evacuate the in-flight accumulator onto the least-worn
-     * survivor, and capacity-adaptively re-tile the remaining
-     * k-range (replanBudget escalations per episode). Disabled (the
-     * default), the original bulk dataflow runs unchanged.
+     * Transactional recovery ladder (DESIGN.md §10). The runner has
+     * one dataflow, a stream of k-slice tile tasks; when enabled,
+     * each slice becomes a transaction: it journals the only state
+     * it carries forward (the C-tile accumulator, plus the C rows on
+     * the collecting slice), drains after it, and on a Failed record
+     * rolls the accumulator back bit-exact and climbs the ladder —
+     * retry in place (retryBudget), then quarantine the blamed
+     * compute subarray, evacuate the in-flight accumulator onto the
+     * least-worn survivor, and capacity-adaptively re-tile the
+     * remaining k-range (replanBudget escalations per episode).
+     * Disabled (the default), the same slices stream without
+     * journals and drain only on queue backpressure and at the end.
      */
     RecoveryConfig recovery;
 };
@@ -95,8 +96,9 @@ struct TiledMatmulStats
      * retiles counts in-flight k-edge shrinks. */
     RecoveryStats recovery;
 
-    /** k-edge the run ended with (== the starting tileK unless a
-     * quarantine-driven re-tile shrank it; 0 on the bulk path). */
+    /** k-edge the run ended with when recovery is enabled (== the
+     * starting tileK unless a quarantine-driven re-tile shrank it);
+     * 0 when it is disabled. */
     std::uint32_t finalTileK = 0;
 };
 

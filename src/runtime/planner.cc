@@ -544,7 +544,6 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
     const std::uint64_t total = t.tasks();
     std::uint32_t staged_a = kNoBatch, staged_b = kNoBatch;
     std::uint32_t dist_last_prev = kNoBatch; // task t-1's last spread
-    std::uint32_t task_last_prev = kNoBatch; // task t-1's last batch
     std::uint32_t last_collect = kNoBatch;
     // Last batch writing each slot's C-tile accumulator, per group.
     std::vector<std::vector<std::uint32_t>> acc(
@@ -670,11 +669,9 @@ Planner::lowerTiledMatMul(LowerCtx &ctx, const TaskGraph &g,
                 }
 
                 dist_last_prev = dist_last;
-                task_last_prev = task_last;
             }
         }
     }
-    (void)task_last_prev;
 
     ctx.written[op.c] = true;
     ctx.lastWriter[op.c] = last_collect;

@@ -24,7 +24,7 @@ FaultCampaignResult
 runInMode(const FaultCampaignConfig &cfg, bool strict)
 {
     ScopedStrictGates mode(strict);
-    return runFaultCampaign(cfg);
+    return runShardedFaultCampaign({.base = cfg}).perDevice[0];
 }
 
 void

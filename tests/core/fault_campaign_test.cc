@@ -25,7 +25,7 @@ TEST(FaultCampaign, ZeroPStepMatchesGoldenExactly)
 {
     FaultCampaignConfig cfg;
     cfg.pStep = 0.0;
-    auto res = runFaultCampaign(cfg);
+    auto res = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     EXPECT_EQ(res.vpcs(), cfg.vpcs);
     EXPECT_EQ(res.clean, cfg.vpcs);
     EXPECT_EQ(res.corrected, 0u);
@@ -44,7 +44,7 @@ TEST(FaultCampaign, ModerateFaultsEveryVpcReportsAStatus)
     FaultCampaignConfig cfg;
     cfg.pStep = 1e-4;
     cfg.guardCoverage = 0.999;
-    auto res = runFaultCampaign(cfg);
+    auto res = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     EXPECT_EQ(res.clean + res.corrected + res.retried + res.failed,
               cfg.vpcs);
     EXPECT_GT(res.stats.faultsInjected, 0u);
@@ -61,7 +61,7 @@ TEST(FaultCampaign, RecoveredVpcsAreBitExact)
         cfg.pStep = 1e-3;
         cfg.guardCoverage = 0.99;
         cfg.seed = seed;
-        auto res = runFaultCampaign(cfg);
+        auto res = runShardedFaultCampaign({.base = cfg}).perDevice[0];
         EXPECT_TRUE(res.invariantHolds())
             << "seed " << seed << ": " << res.mismatchedRecovered
             << " recovered VPC(s) mismatched golden";
@@ -79,7 +79,7 @@ TEST(FaultCampaign, HeavyFaultsDegradeGracefully)
     cfg.pStep = 1e-2;
     cfg.guardCoverage = 0.5;
     cfg.seed = 77;
-    auto res = runFaultCampaign(cfg);
+    auto res = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     EXPECT_EQ(res.clean + res.corrected + res.retried + res.failed,
               cfg.vpcs);
     EXPECT_GT(res.failed, 0u);
@@ -94,8 +94,8 @@ TEST(FaultCampaign, SameConfigSameResult)
     cfg.pStep = 1e-3;
     cfg.guardCoverage = 0.99;
     cfg.seed = 1234;
-    auto a = runFaultCampaign(cfg);
-    auto b = runFaultCampaign(cfg);
+    auto a = runShardedFaultCampaign({.base = cfg}).perDevice[0];
+    auto b = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     ASSERT_EQ(a.vpcs(), b.vpcs());
     EXPECT_EQ(a.stats.faultsInjected, b.stats.faultsInjected);
     EXPECT_EQ(a.stats.correctionShifts, b.stats.correctionShifts);
@@ -149,7 +149,9 @@ campaignGrid()
                        std::uint64_t(p * 1e6);
             sweep.add("seg" + std::to_string(seg),
                       "p" + std::to_string(p), [cfg] {
-                          auto res = runFaultCampaign(cfg);
+                          auto res = runShardedFaultCampaign(
+                                          {.base = cfg})
+                                          .perDevice[0];
                           SweepCellResult cell;
                           cell.value = double(res.failed);
                           cell.metrics["clean"] = res.clean;
@@ -203,8 +205,8 @@ TEST(FaultCampaign, ResultsIdenticalAcrossSweepJobCounts)
     FaultCampaignConfig cfg;
     cfg.pStep = 1e-3;
     cfg.vpcs = 8;
-    auto a = runFaultCampaign(cfg);
-    auto b = runFaultCampaign(cfg);
+    auto a = runShardedFaultCampaign({.base = cfg}).perDevice[0];
+    auto b = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     for (unsigned i = 0; i < a.vpcs(); ++i)
         EXPECT_EQ(a.perVpc[i].status, b.perVpc[i].status);
 }
@@ -213,10 +215,11 @@ TEST(FaultCampaignDeath, RejectsOversizedPrograms)
 {
     FaultCampaignConfig cfg;
     cfg.vpcs = 1000;
-    EXPECT_DEATH(runFaultCampaign(cfg), "program size");
+    EXPECT_DEATH(runShardedFaultCampaign({.base = cfg}), "program size");
     cfg = FaultCampaignConfig{};
     cfg.vectorLen = 64;
-    EXPECT_DEATH(runFaultCampaign(cfg), "destination slice");
+    EXPECT_DEATH(runShardedFaultCampaign({.base = cfg}),
+                 "destination slice");
 }
 
 } // namespace

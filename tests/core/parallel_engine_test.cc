@@ -327,10 +327,10 @@ TEST(ParallelEngine, FaultCampaignIdenticalAcrossEngineJobs)
     cfg.writeEndurance = 600.0;
     cfg.vpcs = 24;
     cfg.engineJobs = 1;
-    const auto a = runFaultCampaign(cfg);
+    const auto a = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     EXPECT_TRUE(a.invariantHolds());
     cfg.engineJobs = 8;
-    const auto b = runFaultCampaign(cfg);
+    const auto b = runShardedFaultCampaign({.base = cfg}).perDevice[0];
     EXPECT_EQ(a.clean, b.clean);
     EXPECT_EQ(a.corrected, b.corrected);
     EXPECT_EQ(a.retried, b.retried);

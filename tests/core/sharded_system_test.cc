@@ -302,8 +302,10 @@ TEST(ShardedSystem, CampaignDeviceZeroIsTheUnshardedRun)
     // The fleet exercised the fault machinery.
     EXPECT_GT(fleet.stats.depositPulses, 0u);
 
-    const FaultCampaignResult single = runFaultCampaign(cfg.base);
-    expectCampaignEq(fleet.perDevice[0], single, "device 0");
+    const ShardedFaultCampaignResult single =
+        runShardedFaultCampaign({.base = cfg.base});
+    expectCampaignEq(fleet.perDevice[0], single.perDevice[0],
+                     "device 0");
 
     // Aggregates are the per-device sums.
     unsigned clean = 0, failed = 0;

@@ -341,17 +341,48 @@ TEST(TiledMatmul, RecoveryDisabledKeepsBulkDataflow)
 {
     // The recovery knob must not perturb the default dataflow: a
     // clean system with recovery disabled produces the same stats
-    // shape as before (tileTasks precomputed, finalTileK unset).
+    // shape as before (one tile task per k-slice, finalTileK unset).
+    // Both settings run the same slice stream, so on a clean device
+    // enabling recovery only adds per-slice drains: C, the VPC
+    // counts, the task count and every subarray's bytes match; only
+    // the round count may differ. The 8-element tiles force a
+    // multi-tile, multi-slice stream through the accumulating ADDs
+    // and both staging buffers.
     const Shape s = {24, 24, 24};
     const auto a = randomBytes(std::uint64_t(s.n) * s.k, 91);
     const auto b = randomBytes(std::uint64_t(s.k) * s.m, 92);
-    StreamPimSystem sys;
-    TiledMatmulStats st;
-    const auto c = runTiledMatmul(sys, a, b, s.n, s.k, s.m, {}, &st);
-    EXPECT_EQ(c, hostMatmulReference(a, b, s.n, s.k, s.m));
-    EXPECT_EQ(st.recovery.batches, 0u);
-    EXPECT_EQ(st.recovery.failedVpcs, 0u);
-    EXPECT_EQ(st.finalTileK, 0u);
+    const auto want = hostMatmulReference(a, b, s.n, s.k, s.m);
+    for (std::uint32_t edge : {0u, 8u}) {
+        TiledMatmulConfig cfg;
+        cfg.tileRows = cfg.tileCols = cfg.tileK = edge;
+        StreamPimSystem off_sys;
+        TiledMatmulStats off;
+        const auto off_c =
+            runTiledMatmul(off_sys, a, b, s.n, s.k, s.m, cfg, &off);
+        EXPECT_EQ(off_c, want) << "edge " << edge;
+        EXPECT_EQ(off.tileTasks, edge == 0 ? 1u : 27u);
+        EXPECT_EQ(off.recovery.batches, 0u);
+        EXPECT_EQ(off.recovery.failedVpcs, 0u);
+        EXPECT_EQ(off.finalTileK, 0u);
+
+        cfg.recovery.enabled = true;
+        StreamPimSystem on_sys;
+        TiledMatmulStats on;
+        const auto on_c =
+            runTiledMatmul(on_sys, a, b, s.n, s.k, s.m, cfg, &on);
+        EXPECT_EQ(on_c, off_c) << "edge " << edge;
+        EXPECT_EQ(on.vpcs, off.vpcs) << "edge " << edge;
+        EXPECT_EQ(on.pimVpcs, off.pimVpcs) << "edge " << edge;
+        EXPECT_EQ(on.tileTasks, off.tileTasks) << "edge " << edge;
+        EXPECT_EQ(on.recovery.batches, on.tileTasks);
+        EXPECT_EQ(on.recovery.failedVpcs, 0u);
+        const std::uint64_t per = on_sys.params().bytesPerSubarray();
+        for (unsigned sub = 0; sub < on_sys.params().totalSubarrays();
+             ++sub)
+            EXPECT_EQ(on_sys.read(Addr(sub) * per, per),
+                      off_sys.read(Addr(sub) * per, per))
+                << "edge " << edge << ", subarray " << sub;
+    }
 }
 
 TEST(TiledMatmulDeath, OversizeGeometryIsRejected)
